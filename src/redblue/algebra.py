@@ -79,6 +79,28 @@ def blue(index: int) -> ColorId:
     return ColorId(BLUE_KIND, index)
 
 
+def format_color_name(c: ColorId, single_red: bool) -> str:
+    """Short name: 1', r (when it is the only red) or r<i>, b<i> (1-based)."""
+    if c.is_identity:
+        return "1'"
+    if c.is_red:
+        return "r" if single_red else f"r{c.index + 1}"
+    return f"b{c.index + 1}"
+
+
+def parse_color_name(name: str) -> ColorId:
+    """Inverse of `format_color_name` with no range check; bare r is red 0."""
+    name = name.strip()
+    if name == "1'":
+        return IDENTITY
+    if name == "r":
+        return red(0)
+    if name[:1] in ("r", "b") and name[1:].isdigit():
+        idx = int(name[1:]) - 1
+        return red(idx) if name[0] == "r" else blue(idx)
+    raise ValueError(f"unrecognized color name {name!r}")
+
+
 @dataclass(frozen=True, slots=True)
 class AlgebraSpec:
     """The family member with p red (flexible) and q blue diversity colors.
@@ -127,27 +149,17 @@ class AlgebraSpec:
 
     def color_name(self, c: ColorId) -> str:
         """Short name: 1', r / r<i>, b<i> (1-based indices)."""
-        if c.is_identity:
-            return "1'"
-        self._require_diversity(c)
-        if c.is_red:
-            return "r" if self.p == 1 else f"r{c.index + 1}"
-        return f"b{c.index + 1}"
+        if c.is_diversity:
+            self._require_diversity(c)
+        return format_color_name(c, single_red=self.p == 1)
 
     def parse_color(self, name: str) -> ColorId:
-        name = name.strip()
-        if name == "1'":
-            return IDENTITY
-        if name == "r":
-            if self.p != 1:
-                raise ValueError("bare 'r' is ambiguous with several reds")
-            return red(0)
-        if name[:1] in ("r", "b") and name[1:].isdigit():
-            idx = int(name[1:]) - 1
-            c = red(idx) if name[0] == "r" else blue(idx)
+        c = parse_color_name(name)
+        if name.strip() == "r" and self.p != 1:
+            raise ValueError("bare 'r' is ambiguous with several reds")
+        if c.is_diversity:
             self._require_diversity(c)
-            return c
-        raise ValueError(f"unrecognized color name {name!r}")
+        return c
 
     def _require_diversity(self, c: ColorId) -> None:
         if c.is_identity:

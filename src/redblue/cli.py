@@ -11,7 +11,8 @@ identical primary outputs (wall times appear in reports and logs but
 never in written artifacts).
 
 Exit codes: 0 success or verified, 1 violation found or an outcome
-contradicting --expect, 2 usage error, 3 resource or solver failure.
+contradicting --expect, 2 usage error, 3 resource or solver failure
+(any RuntimeError or MemoryError, logged rather than raised).
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from . import __version__
 from .algebra import (
     ALGEBRA_ONE_BLUE,
     ALGEBRA_TWO_BLUE,
+    IDENTITY,
     AlgebraSpec,
     ColorId,
     best_upper_bound,
@@ -36,6 +38,7 @@ from .algebra import (
     bound_table,
     iter_bound_csv,
     lower_bound_points,
+    parse_color_name,
     red,
     smallest_certifying_k,
     threshold_check,
@@ -57,7 +60,7 @@ from .cube import (
 from .repcheck import check_representation, parse_coloring
 from .sat.dimacs import parse_dimacs, to_dimacs
 from .sat.encode import VARIANTS, ClauseGroup, CnfFormula, all_edges_formula, build_formula
-from .sat.solve import SAT, UNKNOWN, UNSAT, SolverUnavailableError, solve
+from .sat.solve import SAT, UNKNOWN, solve
 from .search import (
     SEARCH_CSV_HEADER,
     hill_climb,
@@ -84,17 +87,8 @@ class UsageError(ValueError):
     """Bad flag combination or malformed argument value."""
 
 
-# names accepted by --mutate; both the sumset-style letters and the
-# color names used in split files map to the same parts
-_PART_ALIASES: dict[str, ColorId] = {
-    "a": red(0),
-    "r": red(0),
-    "r1": red(0),
-    "b": blue(0),
-    "b1": blue(0),
-    "c": blue(1),
-    "b2": blue(1),
-}
+# --mutate takes the color names of split files and these sumset letters
+_SUMSET_LETTERS: dict[str, ColorId] = {"a": red(0), "b": blue(0), "c": blue(1)}
 
 
 def _now_iso() -> str:
@@ -138,15 +132,20 @@ def _parse_mutation(text: str) -> tuple[int, ColorId, ColorId]:
         elem = int(head)
     except ValueError:
         raise UsageError(f"bad element {head!r} in mutation") from None
-    src, dst = src.strip().lower(), dst.strip().lower()
-    for name in (src, dst):
-        if name not in _PART_ALIASES:
-            raise UsageError(
-                f"unknown part {name!r}; use one of {sorted(_PART_ALIASES)}"
-            )
-    if _PART_ALIASES[src] == _PART_ALIASES[dst]:
+    src, dst = (_mutation_part(name.strip().lower()) for name in (src, dst))
+    if src == dst:
         raise UsageError("mutation source and destination coincide")
-    return elem, _PART_ALIASES[src], _PART_ALIASES[dst]
+    return elem, src, dst
+
+
+def _mutation_part(name: str) -> ColorId:
+    try:
+        color = _SUMSET_LETTERS.get(name) or parse_color_name(name)
+    except ValueError:
+        color = IDENTITY
+    if color not in ALGEBRA_TWO_BLUE.diversity_colors():
+        raise UsageError(f"unknown part {name!r}; use a, b, c, r, b1 or b2")
+    return color
 
 
 def _apply_mutation(
@@ -724,18 +723,15 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _flag(*names: str, **kwargs) -> argparse.ArgumentParser:
+    """A parent parser holding one flag, for the commands that read it."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(*names, **kwargs)
+    return parent
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="base seed for randomized work")
-    common.add_argument("--threads", type=int, default=1, help="cap on worker threads")
-    common.add_argument(
-        "--memory-cap-mb", type=int, default=None, metavar="MIB",
-        help="refuse work estimated above this many MiB",
-    )
-    common.add_argument(
-        "--out", metavar="PATH", default=None,
-        help="write the primary artifact here instead of stdout",
-    )
     common.add_argument(
         "--log", metavar="PATH", default=None,
         help="append line-delimited timestamped records to this file",
@@ -747,7 +743,18 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--format", choices=("text", "json"), default="text", help="report format"
     )
-    common.add_argument(
+    # flags only some commands read, each defined once
+    seed = _flag("--seed", type=int, default=0, help="base seed for randomized work")
+    threads = _flag("--threads", type=int, default=1, help="cap on worker threads")
+    memory = _flag(
+        "--memory-cap-mb", type=int, default=None, metavar="MIB",
+        help="refuse work estimated above this many MiB",
+    )
+    out = _flag(
+        "--out", metavar="PATH", default=None,
+        help="write the primary artifact here instead of stdout",
+    )
+    extended = _flag(
         "--extended", action="store_true",
         help="allow long-running regimes (large V solves, huge trial counts)",
     )
@@ -776,14 +783,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify_1024)
 
     p = sub.add_parser(
-        "witnesses", parents=[common],
+        "witnesses", parents=[common, memory],
         help="minimum witness multiplicities of the layer partition vs the 2^k floor",
     )
     p.add_argument("--k", type=int, required=True, help="layer parameter (m = 3k+1)")
     p.set_defaults(func=cmd_witnesses)
 
     p = sub.add_parser(
-        "bounds", parents=[common],
+        "bounds", parents=[common, out],
         help="lower/upper bounds on representation size and union-bound evaluations",
     )
     p.add_argument("--n", type=int, default=None, help="blue color count")
@@ -800,7 +807,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser(
-        "search", parents=[common],
+        "search", parents=[common, seed, memory, out, extended],
         help="random splits of the layer partition, optionally with local-search repair",
     )
     p.add_argument("--k", type=int, required=True, help="layer parameter (m = 3k+1)")
@@ -826,7 +833,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_check_rep)
 
     p = sub.add_parser(
-        "encode", parents=[common], help="emit a DIMACS instance"
+        "encode", parents=[common, out], help="emit a DIMACS instance"
     )
     p.add_argument("--points", type=int, required=True)
     p.add_argument(
@@ -853,7 +860,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser(
-        "pipeline", parents=[common],
+        "pipeline", parents=[common, threads, extended],
         help="encode and solve a range of lower-bound instances, persisting artifacts",
     )
     p.add_argument("--from", dest="v_from", type=int, required=True, metavar="V")
@@ -903,8 +910,10 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         log.error("%s", exc)
         code = EXIT_USAGE
-    except (ResourceLimitError, SolverUnavailableError) as exc:
-        log.error("%s", exc)
+    except (RuntimeError, MemoryError) as exc:
+        # resource caps, solver failures, rejected certificates, exhausted memory
+        log.error("%s", str(exc) or type(exc).__name__)
+        log.debug("traceback", exc_info=True)
         code = EXIT_RESOURCE
     except (OSError, ValueError) as exc:
         log.error("%s", exc)

@@ -25,7 +25,15 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .algebra import AlgebraSpec, ColorId, blue, is_mandatory, red
+from .algebra import (
+    AlgebraSpec,
+    ColorId,
+    blue,
+    format_color_name,
+    is_mandatory,
+    parse_color_name,
+    red,
+)
 
 CUBE_DIM_CAP = 24  # dense 2^m-bit masks; int64 transform stays exact below this
 
@@ -507,23 +515,6 @@ def verify_group_representation(
 # the embedded 1024-point split
 # ---------------------------------------------------------------------------
 
-# Hand-tuned refinement of the k=3 blue layer; its sumset closure generates
-# the whole red layer, realizing the two-blue algebra on 1024 points.
-EMBEDDED_B_ELEMENTS: tuple[int, ...] = (
-    127, 223, 239, 251, 253, 255, 367,
-    375, 381, 382, 431, 443, 446, 471, 475,
-    477, 478, 487, 491, 494, 499, 505, 509,
-    607, 635, 637, 639, 701, 702, 703, 719,
-    727, 733, 734, 743, 750, 751, 758, 763,
-    766, 815, 823, 827, 829, 847, 859, 862,
-    863, 877, 879, 883, 886, 887, 890, 893,
-    894, 919, 923, 925, 927, 935, 941, 943,
-    949, 950, 953, 954, 958, 979, 981, 982,
-    990, 991, 995, 1001, 1002, 1003, 1005,
-    1011, 1012, 1013, 1014, 1015, 1016,
-    1017, 1019, 1021, 1022,
-)
-
 EMBEDDED_B_ASSET = "embedded_b_elements.txt"
 
 
@@ -531,6 +522,11 @@ def load_embedded_b_asset() -> tuple[int, ...]:
     """Read the shipped text copy of the embedded blue part."""
     text = resources.files("redblue.data").joinpath(EMBEDDED_B_ASSET).read_text()
     return tuple(int(tok) for tok in text.split())
+
+
+# Hand-tuned refinement of the k=3 blue layer; its sumset closure generates
+# the whole red layer, realizing the two-blue algebra on 1024 points.
+EMBEDDED_B_ELEMENTS: tuple[int, ...] = load_embedded_b_asset()
 
 
 def embedded_split_1024() -> GroupColoring:
@@ -551,28 +547,17 @@ def embedded_split_1024() -> GroupColoring:
 # ---------------------------------------------------------------------------
 
 
-def _part_names(coloring: GroupColoring) -> dict[ColorId, str]:
-    reds = [c for c in coloring.colors() if c.is_red]
-    names = {}
-    for c in coloring.colors():
-        if c.is_red:
-            names[c] = "r" if len(reds) == 1 else f"r{c.index + 1}"
-        else:
-            names[c] = f"b{c.index + 1}"
-    return names
-
-
 def write_split(coloring: GroupColoring) -> str:
     """Serialize a coloring in the split text format.
 
     Line 1 is `cube m=<m> colors=<t>`; then one `<name>: <elements>` line
     per color in red-then-blue order, elements ascending.
     """
-    names = _part_names(coloring)
+    single_red = sum(c.is_red for c in coloring.parts) == 1
     lines = [f"cube m={coloring.m} colors={len(coloring.parts)}"]
     for c in coloring.colors():
         elems = " ".join(str(x) for x in coloring.parts[c].elements())
-        lines.append(f"{names[c]}: {elems}")
+        lines.append(f"{format_color_name(c, single_red)}: {elems}")
     return "\n".join(lines) + "\n"
 
 
@@ -593,13 +578,7 @@ def parse_split(text: str) -> GroupColoring:
     for line in lines[1:]:
         name, _, rest = line.partition(":")
         name = name.strip()
-        if name == "r":
-            color = red(0)
-        elif name[:1] in ("r", "b") and name[1:].isdigit():
-            idx = int(name[1:]) - 1
-            color = red(idx) if name[0] == "r" else blue(idx)
-        else:
-            raise ValueError(f"unrecognized color name {name!r}")
+        color = parse_color_name(name)
         elements = [int(tok) for tok in rest.split()]
         for x in elements:
             if not 1 <= x < (1 << m):

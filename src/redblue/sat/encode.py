@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterator, NamedTuple
 
-from ..algebra import ALGEBRA_TWO_BLUE, AlgebraSpec, ColorId, needs_of
+from ..algebra import ALGEBRA_TWO_BLUE, AlgebraSpec, ColorId, NeedPair, needs_of
 from ..repcheck import EdgeColoring, MandatoryConfig, mandatory_configuration
 
 Clause = tuple[int, ...]
@@ -143,6 +143,28 @@ def precolor_clauses(
     return ClauseGroup(tag, clauses)
 
 
+def _witnesses(
+    vm: VarMap, spec: AlgebraSpec, i: int, j: int, need: NeedPair, clauses: list[Clause]
+) -> list[int]:
+    """Witness auxiliaries of one need of edge (i, j), one per vertex k.
+
+    Each is defined by biconditional clauses, appended to `clauses`, as
+    "edge (i,k) has the need's first color and edge (k,j) its second".
+    """
+    c1 = spec.color_index(need.first)
+    c2 = spec.color_index(need.second)
+    witnesses = []
+    for k in range(vm.V):
+        if k in (i, j):
+            continue
+        w = vm.new_aux()
+        l1 = vm.var(*sorted((i, k)), c1)
+        l2 = vm.var(*sorted((k, j)), c2)
+        clauses += [(-w, l1), (-w, l2), (w, -l1, -l2)]
+        witnesses.append(w)
+    return witnesses
+
+
 def need_clauses(
     vm: VarMap,
     edges: list[tuple[int, int, ColorId]],
@@ -161,20 +183,7 @@ def need_clauses(
     clauses: list[Clause] = []
     for i, j, color in edges:
         for need in needs_of(spec, color):
-            c1 = spec.color_index(need.first)
-            c2 = spec.color_index(need.second)
-            witnesses = []
-            for k in range(vm.V):
-                if k in (i, j):
-                    continue
-                w = vm.new_aux()
-                l1 = vm.var(*sorted((i, k)), c1)
-                l2 = vm.var(*sorted((k, j)), c2)
-                clauses.append((-w, l1))
-                clauses.append((-w, l2))
-                clauses.append((w, -l1, -l2))
-                witnesses.append(w)
-            clauses.append(tuple(witnesses))
+            clauses.append(tuple(_witnesses(vm, spec, i, j, need, clauses)))
     return ClauseGroup(tag, tuple(clauses))
 
 
@@ -215,19 +224,7 @@ def free_edge_clauses(
             edge_lit = vm.var(i, j, spec.color_index(color))
             need_vars = []
             for need in needs_of(spec, color):
-                c1 = spec.color_index(need.first)
-                c2 = spec.color_index(need.second)
-                witnesses = []
-                for k in range(vm.V):
-                    if k in (i, j):
-                        continue
-                    w = vm.new_aux()
-                    l1 = vm.var(*sorted((i, k)), c1)
-                    l2 = vm.var(*sorted((k, j)), c2)
-                    clauses.append((-w, l1))
-                    clauses.append((-w, l2))
-                    clauses.append((w, -l1, -l2))
-                    witnesses.append(w)
+                witnesses = _witnesses(vm, spec, i, j, need, clauses)
                 d = vm.new_aux()
                 clauses.append(tuple([-d] + witnesses))
                 clauses.extend((-w, d) for w in witnesses)

@@ -72,26 +72,22 @@ def default_solver() -> str | None:
     return None
 
 
-def _parse_solver_output(stdout: str, returncode: int) -> tuple[str, list[int]]:
+_STATUS_LINES = {"SATISFIABLE": SAT, "UNSATISFIABLE": UNSAT, "UNKNOWN": UNKNOWN}
+
+
+def _parse_solver_output(stdout: str, returncode: int) -> tuple[str | None, list[int]]:
+    """Verdict and model literals; the verdict is None when neither an
+    `s` line nor the exit code (10 SAT, 20 UNSAT) gives one."""
     status = None
     literals: list[int] = []
     for line in stdout.splitlines():
         line = line.strip()
         if line.startswith("s "):
-            token = line[2:].strip().upper()
-            if token == "SATISFIABLE":
-                status = SAT
-            elif token == "UNSATISFIABLE":
-                status = UNSAT
+            status = _STATUS_LINES.get(line[2:].strip().upper(), status)
         elif line.startswith("v ") or line == "v":
             literals.extend(int(tok) for tok in line[1:].split())
     if status is None:
-        if returncode == 10:
-            status = SAT
-        elif returncode == 20:
-            status = UNSAT
-        else:
-            status = UNKNOWN
+        status = {10: SAT, 20: UNSAT}.get(returncode)
     if literals and literals[-1] == 0:
         literals.pop()
     return status, literals
@@ -161,11 +157,15 @@ def solve(
             return SolveOutcome(UNKNOWN, None, None, solver, elapsed, str(exc))
     elapsed = time.perf_counter() - start
     status, literals = _parse_solver_output(proc.stdout, proc.returncode)
-    if status == UNKNOWN:
+    if status is None:
         tail = (proc.stderr or proc.stdout or "").strip().splitlines()[-3:]
         return SolveOutcome(
             UNKNOWN, None, None, solver, elapsed,
             "unrecognized solver output: " + " | ".join(tail),
+        )
+    if status == UNKNOWN:
+        return SolveOutcome(
+            UNKNOWN, None, None, solver, elapsed, "the solver answered UNKNOWN"
         )
     if status == UNSAT:
         return SolveOutcome(UNSAT, None, None, solver, elapsed)

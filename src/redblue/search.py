@@ -7,12 +7,14 @@ so results are bit-identical across platforms (see `random_split`).  The
 violation counter uses the transform route from the cube module; the naive
 route doubles as an independent oracle, and any split the hill climber
 claims to have solved is re-verified against it before being reported.
+Both routes and the climber judge the counts by one rule table (`_rules`).
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -22,17 +24,19 @@ from .algebra import (
     ColorId,
     NeedPair,
     UnionBoundFailure,
+    blue,
+    is_mandatory,
+    red,
     union_bound_failure,
 )
 from .cube import (
     CubeSubset,
     GroupColoring,
     LayerPartition,
+    embedded_split_1024,
     layer_partition,
-    pair_counts,
     pair_counts_naive,
     walsh_hadamard,
-    EMBEDDED_B_ELEMENTS,
 )
 
 _MASK64 = (1 << 64) - 1
@@ -103,8 +107,6 @@ class SplitState:
 
     def parts(self) -> dict[ColorId, CubeSubset]:
         """Parts as cube subsets (possibly empty ones included)."""
-        from .algebra import blue, red
-
         m = self.base.m
         out = {}
         for i in range(self.p):
@@ -131,8 +133,6 @@ def split_from_coloring(
     base: LayerPartition, coloring: GroupColoring, p: int, q: int
 ) -> SplitState:
     """View an existing coloring as a split of `base` (parts must refine it)."""
-    from .algebra import blue, red
-
     red_assign: dict[int, int] = {}
     blue_assign: dict[int, int] = {}
     for i in range(p):
@@ -146,8 +146,6 @@ def split_from_coloring(
 
 def embedded_split_state() -> SplitState:
     """The shipped 1024-point coloring viewed as a (p=1, q=2) split at k=3."""
-    from .cube import embedded_split_1024
-
     return split_from_coloring(layer_partition(3), embedded_split_1024(), 1, 2)
 
 
@@ -179,82 +177,91 @@ class ViolationReport:
         return self.count == 0
 
 
-def _report_from_counts(
-    spec: AlgebraSpec,
-    parts: dict[ColorId, CubeSubset],
-    counts: dict[tuple[ColorId, ColorId], np.ndarray],
-) -> ViolationReport:
-    colors = spec.diversity_colors()
-    rank = {c: i for i, c in enumerate(colors)}
-    unsat: list[tuple[int, int, int, NeedPair]] = []
-    forbid: list[tuple[int, int, int, NeedPair]] = []
-    empty = tuple(c for c in colors if not parts[c])
-    from .algebra import needs_of
+_Rules = tuple[tuple[ColorId, tuple[NeedPair, ...], tuple[NeedPair, ...]], ...]
 
-    for c3 in colors:
-        targets = parts[c3].to_array()
-        if targets.size == 0:
-            continue
-        for pair in needs_of(spec, c3):
-            cvec = counts[(pair.first, pair.second)]
-            for z in targets[cvec[targets] == 0]:
-                unsat.append((int(z), rank[pair.first], rank[pair.second], pair))
-        if c3.is_blue:
-            for b1 in colors:
-                if not b1.is_blue:
-                    continue
-                for b2 in colors:
-                    if not b2.is_blue:
-                        continue
-                    pair = NeedPair(b1, b2)
-                    cvec = counts[(b1, b2)]
-                    for z in targets[cvec[targets] > 0]:
-                        forbid.append((int(z), rank[b1], rank[b2], pair))
-    unsat.sort(key=lambda t: t[:3])
-    forbid.sort(key=lambda t: t[:3])
-    return ViolationReport(
-        tuple((z, pair) for z, _, _, pair in unsat),
-        tuple((z, pair) for z, _, _, pair in forbid),
-        empty,
+
+@lru_cache(maxsize=None)
+def _rules(spec: AlgebraSpec) -> _Rules:
+    """Per target color: the pairs that must witness each of its elements,
+    then the (all-blue) pairs that must witness none, both in rank order."""
+    colors = spec.diversity_colors()
+    pairs = [NeedPair(c1, c2) for c1 in colors for c2 in colors]
+    return tuple(
+        (
+            c3,
+            tuple(pair for pair in pairs if is_mandatory(spec, *pair, c3)),
+            tuple(pair for pair in pairs if not is_mandatory(spec, *pair, c3)),
+        )
+        for c3 in colors
     )
 
 
-def _all_pair_counts(
-    spec: AlgebraSpec, parts: dict[ColorId, CubeSubset], m: int, naive: bool
-) -> dict[tuple[ColorId, ColorId], np.ndarray]:
+def _rule_masks(
+    rules: _Rules,
+    ind: dict[ColorId, np.ndarray],
+    counts: dict[tuple[ColorId, ColorId], np.ndarray],
+) -> Iterator[tuple[ColorId, NeedPair | None, bool, np.ndarray | None]]:
+    """(target, pair, banned, mask) per rule, in table order.
+
+    The mask marks the elements of the target color that the rule breaks:
+    no witness of a needed pair, or some witness of a banned one.  A color
+    with no elements yields (target, None, False, None) instead, once.
+    """
+    for target, needed, banned in rules:
+        at = ind[target].astype(bool)
+        if not at.any():
+            yield target, None, False, None
+            continue
+        for pair in needed:
+            mask = counts[pair] == 0
+            mask &= at  # in place: one temporary per rule, not two
+            yield target, pair, False, mask
+        for pair in banned:
+            mask = counts[pair] > 0
+            mask &= at
+            yield target, pair, True, mask
+
+
+def _counts(
+    s: SplitState, spec: AlgebraSpec, naive: bool
+) -> tuple[dict[ColorId, np.ndarray], dict[tuple[ColorId, ColorId], np.ndarray]]:
+    """Boolean part indicators and all ordered pair-count vectors of a split."""
+    if (spec.p, spec.q) != (s.p, s.q):
+        raise ValueError("spec shape must match the split's (p, q)")
     colors = spec.diversity_colors()
+    parts = s.parts()
+    ind = {c: parts[c].indicator().astype(bool) for c in colors}
     if naive:
-        return {
-            (c1, c2): pair_counts_naive(parts[c1], parts[c2])
-            for c1 in colors
-            for c2 in colors
-        }
-    # one forward transform per part, one inverse per ordered pair
-    fwd = {c: walsh_hadamard(parts[c].indicator()) for c in colors}
-    out = {}
-    for c1 in colors:
-        for c2 in colors:
-            prod = walsh_hadamard(fwd[c1] * fwd[c2])
-            out[(c1, c2)] = prod >> m
-    return out
+        count = lambda c1, c2: pair_counts_naive(parts[c1], parts[c2])
+    else:
+        # one forward transform per part, one inverse per ordered pair
+        fwd = {c: walsh_hadamard(parts[c].indicator()) for c in colors}
+        count = lambda c1, c2: walsh_hadamard(fwd[c1] * fwd[c2]) >> s.base.m
+    return ind, {(c1, c2): count(c1, c2) for c1 in colors for c2 in colors}
+
+
+def _report(s: SplitState, spec: AlgebraSpec, naive: bool) -> ViolationReport:
+    empty: list[ColorId] = []
+    found: tuple[list, list] = ([], [])
+    masks = _rule_masks(_rules(spec), *_counts(s, spec, naive))
+    for target, pair, banned, mask in masks:
+        if mask is None:
+            empty.append(target)
+        else:
+            found[banned].extend((int(z), pair) for z in np.flatnonzero(mask))
+    # rules come in pair-rank order, so a stable sort by element finishes it
+    unsat, forbid = (tuple(sorted(f, key=lambda item: item[0])) for f in found)
+    return ViolationReport(unsat, forbid, tuple(empty))
 
 
 def violations(s: SplitState, spec: AlgebraSpec) -> ViolationReport:
     """Exact violation report via the transform route."""
-    if (spec.p, spec.q) != (s.p, s.q):
-        raise ValueError("spec shape must match the split's (p, q)")
-    parts = s.parts()
-    counts = _all_pair_counts(spec, parts, s.base.m, naive=False)
-    return _report_from_counts(spec, parts, counts)
+    return _report(s, spec, naive=False)
 
 
 def violations_naive(s: SplitState, spec: AlgebraSpec) -> ViolationReport:
     """Same report via direct pair enumeration; the independent oracle."""
-    if (spec.p, spec.q) != (s.p, s.q):
-        raise ValueError("spec shape must match the split's (p, q)")
-    parts = s.parts()
-    counts = _all_pair_counts(spec, parts, s.base.m, naive=True)
-    return _report_from_counts(spec, parts, counts)
+    return _report(s, spec, naive=True)
 
 
 # ---------------------------------------------------------------------------
@@ -267,31 +274,19 @@ class _ClimbEngine:
 
     Maintains per-color indicators and all ordered pair-count vectors;
     moving one element updates each affected count vector with one gather
-    instead of a fresh transform.  `check()` recomputes everything from
-    scratch, so tests can pin the incremental arithmetic to the pure route.
+    instead of a fresh transform.  Violations are read through the same
+    rule masks as `violations`, so only the count arithmetic is incremental.
     """
 
     def __init__(self, state: SplitState, spec: AlgebraSpec):
-        self.spec = spec
         self.base = state.base
         self.p, self.q = state.p, state.q
-        self.m = state.base.m
-        self.n = 1 << self.m
+        self.n = 1 << state.base.m
         self.colors = spec.diversity_colors()
-        self.rank = {c: i for i, c in enumerate(self.colors)}
-        parts = state.parts()
-        self.ind = {c: parts[c].indicator() for c in self.colors}
-        self.counts = _all_pair_counts(spec, parts, self.m, naive=False)
-        from .algebra import needs_of
-
-        self.needs = {c: needs_of(spec, c) for c in self.colors}
-        self.blue_pairs = [
-            NeedPair(c1, c2)
-            for c1 in self.colors
-            if c1.is_blue
-            for c2 in self.colors
-            if c2.is_blue
-        ]
+        ind, self.counts = _counts(state, spec, naive=False)
+        # int64, so that a move's gathers add into the counts without a cast
+        self.ind = {c: at.astype(np.int64) for c, at in ind.items()}
+        self.rules = _rules(spec)
         # which colors an element may take, by layer
         self.red_colors = [c for c in self.colors if c.is_red]
         self.blue_colors = [c for c in self.colors if c.is_blue]
@@ -327,31 +322,18 @@ class _ClimbEngine:
             self.counts[(d, c)] += g
 
     def violation_count(self) -> int:
-        total = 0
-        for c3 in self.colors:
-            ind3 = self.ind[c3].astype(bool)
-            if not ind3.any():
-                total += 1
-                continue
-            for pair in self.needs[c3]:
-                total += int(np.count_nonzero(ind3 & (self.counts[pair] == 0)))
-            if c3.is_blue:
-                for pair in self.blue_pairs:
-                    total += int(np.count_nonzero(ind3 & (self.counts[pair] > 0)))
-        return total
+        return sum(
+            1 if mask is None else int(np.count_nonzero(mask))
+            for _, _, _, mask in _rule_masks(self.rules, self.ind, self.counts)
+        )
 
     def unsatisfied_items(self) -> list[tuple[int, NeedPair]]:
-        items = []
-        for c3 in self.colors:
-            ind3 = self.ind[c3].astype(bool)
-            for pair in self.needs[c3]:
-                for z in np.nonzero(ind3 & (self.counts[pair] == 0))[0]:
-                    items.append((int(z), pair))
-            if c3.is_blue:
-                for pair in self.blue_pairs:
-                    for z in np.nonzero(ind3 & (self.counts[pair] > 0))[0]:
-                        items.append((int(z), pair))
-        return items
+        return [
+            (int(z), pair)
+            for _, pair, _, mask in _rule_masks(self.rules, self.ind, self.counts)
+            if mask is not None
+            for z in np.flatnonzero(mask)
+        ]
 
     def move_pool(self) -> np.ndarray:
         """Elements implicated in some violation and free to change part."""
@@ -419,8 +401,6 @@ def hill_climb(
     """
     if budget < 0:
         raise ValueError("budget >= 0 required")
-    if (spec.p, spec.q) != (s.p, s.q):
-        raise ValueError("spec shape must match the split's (p, q)")
     engine = _ClimbEngine(s, spec)
     count = engine.violation_count()
     trace: list[tuple[int, int]] = []

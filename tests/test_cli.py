@@ -396,3 +396,43 @@ def test_log_file_records_run(capsys, tmp_path):
     assert '"version"' in content and '"config"' in content
     assert "INFO run " in content
     assert "INFO exit 0" in content
+
+
+# ---------------------------------------------------------------------------
+# flag scoping and exit codes
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-1024", "--seed", "1"],
+        ["verify-1024", "--out", "x.txt"],
+        ["witnesses", "--k", "1", "--threads", "2"],
+        ["bounds", "--n", "2", "--extended"],
+        ["solve", "--cnf", "x.cnf", "--memory-cap-mb", "1"],
+    ],
+)
+def test_flags_only_where_read(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("mutation", ["127:b3->c", "127:1'->c", "127:r2->c"])
+def test_verify_mutation_rejects_other_colors(capsys, mutation):
+    code, _ = run(capsys, "verify-1024", "--mutate", mutation)
+    assert code == 2
+
+
+@pytest.mark.parametrize("error", [RuntimeError("certificate rejected"), MemoryError()])
+def test_runtime_and_memory_errors_exit_resource(capsys, monkeypatch, caplog, error):
+    import redblue.cli as cli
+
+    def boom(args):
+        raise error
+
+    monkeypatch.setattr(cli, "cmd_witnesses", boom)
+    code, _ = run(capsys, "witnesses", "--k", "1")
+    assert code == 3
+    assert (str(error) or "MemoryError") in caplog.text

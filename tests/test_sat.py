@@ -402,6 +402,14 @@ def test_garbage_output_surfaces_as_unknown(tmp_path):
     assert "unrecognized" in outcome.detail
 
 
+def test_unknown_status_line_surfaces_as_unknown(tmp_path):
+    path = fake_solver(tmp_path, 'echo "s UNKNOWN"')
+    outcome = solve(tiny_formula(), solver=path)
+    assert outcome.status == UNKNOWN
+    assert "answered UNKNOWN" in outcome.detail
+    assert "unrecognized" not in outcome.detail
+
+
 def test_missing_binary_surfaces_as_unknown(tmp_path):
     outcome = solve(tiny_formula(), solver=str(tmp_path / "nope"))
     assert outcome.status == UNKNOWN

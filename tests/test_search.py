@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from redblue.algebra import AlgebraSpec, blue, red, union_bound_failure
+from redblue.cube import CubeSubset, LayerPartition
 from redblue.cube import layer_partition, verify_group_representation
 from redblue.search import (
     SEARCH_CSV_HEADER,
@@ -256,3 +257,62 @@ def test_monte_carlo_high_k_succeeds():
 def test_monte_carlo_rejects_zero_trials(part1):
     with pytest.raises(ValueError):
         monte_carlo(part1, 1, 2, 0, 1)
+
+
+# ---------------------------------------------------------------------------
+# the violation predicate against the independent sumset verifier
+# ---------------------------------------------------------------------------
+
+
+def _sumset_accepts(state, spec):
+    try:
+        coloring = state.to_coloring()
+    except ValueError:  # an empty part realizes no color
+        return False
+    return verify_group_representation(coloring, spec).ok
+
+
+def _refined_embedded(p, q, seed):
+    # the solved 1024-point split with its reds split p ways and, for q = 3,
+    # its second blue part split in two; for (1, 2), one blue element moved
+    base = embedded_split_state()
+    red_assign = {x: part_index(seed, x, p) for x in base.red_assign}
+    blue_assign = dict(base.blue_assign)
+    for x, i in base.blue_assign.items():
+        if i == 1 and q == 3:
+            blue_assign[x] = 1 + part_index(seed, x, 2)
+    if (p, q) == (1, 2):  # move one blue element to the other blue part
+        e = sorted(blue_assign)[part_index(seed, 0, len(blue_assign))]
+        blue_assign[e] ^= 1
+    return SplitState(base.base, p, q, seed, red_assign, blue_assign)
+
+
+def _red_moved_to_blue(seed):
+    # the solved 1024-point split with one red element recolored b2; the
+    # blue layer is then no longer sum-free, so b1+b1 hits a blue element
+    base = embedded_split_state()
+    reds = sorted(base.red_assign)
+    x = reds[part_index(seed, 0, len(reds))]
+    point = CubeSubset.from_elements(base.base.m, [x])
+    layers = LayerPartition(base.base.k, base.base.R - point, base.base.B | point)
+    red_assign = {e: i for e, i in base.red_assign.items() if e != x}
+    blue_assign = {**base.blue_assign, x: 1}
+    return SplitState(layers, 1, 2, seed, red_assign, blue_assign)
+
+
+@pytest.mark.parametrize("shape", [(1, 2), (2, 2), (1, 3)])
+def test_violations_agree_with_sumset_verifier(shape, part2, part3):
+    p, q = shape
+    spec = AlgebraSpec(p, q)
+    states = [random_split(part, p, q, seed) for part in (part2, part3) for seed in range(20)]
+    states += [_refined_embedded(p, q, seed) for seed in range(20)]
+    if shape == (1, 2):
+        states.append(embedded_split_state())
+        states += [_red_moved_to_blue(seed) for seed in range(20)]
+    verdicts = set()
+    for state in states:
+        solved = violations(state, spec).solved
+        assert solved == _sumset_accepts(state, spec), (shape, state.seed)
+        verdicts.add(solved)
+    # both verdicts are exercised; every (1, 3) state tried here is rejected
+    assert verdicts == ({False} if shape == (1, 3) else {True, False})
