@@ -208,16 +208,27 @@ def sumset(x: CubeSubset, y: CubeSubset) -> CubeSubset:
 # ---------------------------------------------------------------------------
 
 
+NAIVE_BLOCK_PAIRS = 1 << 20  # pairs enumerated per block: 8 MiB of int64 XORs
+
+
 def pair_counts_naive(x: CubeSubset, y: CubeSubset) -> np.ndarray:
-    """counts[z] = #{(a, b) in x X y : a XOR b = z}, by direct enumeration."""
+    """counts[z] = #{(a, b) in x X y : a XOR b = z}, by direct enumeration.
+
+    The pairs are enumerated in blocks of rows of the XOR table, so memory
+    stays bounded by `NAIVE_BLOCK_PAIRS` however large the operands are.
+    """
     x._require_same_dim(y)
     n = 1 << x.m
+    counts = np.zeros(n, dtype=np.int64)
     if not x or not y:
-        return np.zeros(n, dtype=np.int64)
+        return counts
     xs = x.to_array()
     ys = y.to_array()
-    xors = np.bitwise_xor.outer(xs, ys).ravel()
-    return np.bincount(xors, minlength=n).astype(np.int64)
+    rows = max(1, NAIVE_BLOCK_PAIRS // len(ys))
+    for start in range(0, len(xs), rows):
+        xors = np.bitwise_xor.outer(xs[start : start + rows], ys).ravel()
+        counts += np.bincount(xors, minlength=n)
+    return counts
 
 
 def walsh_hadamard(vec: np.ndarray) -> np.ndarray:

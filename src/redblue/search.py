@@ -2,12 +2,14 @@
 
 A split refines a layer partition: the red layer into p parts and the blue
 layer into q parts, giving a candidate coloring for the algebra with p reds
-and q blues.  Random splits are drawn with a counter-based SplitMix64 hash
-so results are bit-identical across platforms (see `random_split`).  The
-violation counter uses the transform route from the cube module; the naive
-route doubles as an independent oracle, and any split the hill climber
-claims to have solved is re-verified against it before being reported.
-Both routes and the climber judge the counts by one rule table (`_rules`).
+and q blues, stored as one read-only int8 label per cube element
+(`SplitState`).  Random splits are drawn with a counter-based SplitMix64
+hash, one uint64 numpy pass over all 2^m elements, so results are
+bit-identical across platforms (see `random_split`).  The violation counter
+uses the transform route from the cube module; the naive route doubles as
+an independent oracle, and any split the hill climber claims to have solved
+is re-verified against it before being reported.  Both routes and the
+climber judge the counts by one rule table (`_rules`).
 """
 
 from __future__ import annotations
@@ -24,9 +26,7 @@ from .algebra import (
     ColorId,
     NeedPair,
     UnionBoundFailure,
-    blue,
     is_mandatory,
-    red,
     union_bound_failure,
 )
 from .cube import (
@@ -43,8 +43,12 @@ _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15  # SplitMix64 stream increment
 
 
-def _mix64(x: int) -> int:
-    """The SplitMix64 output permutation (Steele-Lea-Flood finalizer)."""
+def _mix64(x: int | np.ndarray) -> int | np.ndarray:
+    """The SplitMix64 output permutation (Steele-Lea-Flood finalizer).
+
+    Works on a Python int and, elementwise, on a uint64 array, where the
+    products wrap mod 2^64 just as the masks make them do for an int.
+    """
     x &= _MASK64
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
@@ -66,82 +70,129 @@ def trial_seed(seed: int, trial: int) -> int:
     return _mix64((seed + trial * _GAMMA) & _MASK64)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class SplitState:
     """A layer partition refined into p red and q blue parts.
 
-    Assignments map every red-layer element to a part index < p, every
-    blue-layer element to a part index < q.  `seed` records how the state
-    was drawn (0 for states built by hand)."""
+    `labels` is a read-only int8 vector over the 2^m cube elements: each
+    layer element's color rank (`AlgebraSpec.color_index`), -1 elsewhere.
+    Build a state with `labels=`, or from the dicts `red_assign` and
+    `blue_assign`, which map every element of a layer to its part index.
+    `seed` records how the state was drawn (0 for states built by hand)."""
 
     base: LayerPartition
     p: int
     q: int
     seed: int
-    red_assign: dict[int, int]
-    blue_assign: dict[int, int]
+    labels: np.ndarray
 
-    def __post_init__(self) -> None:
-        if self.p < 1 or self.q < 1:
+    def __init__(
+        self,
+        base: LayerPartition,
+        p: int,
+        q: int,
+        seed: int,
+        red_assign: dict[int, int] | None = None,
+        blue_assign: dict[int, int] | None = None,
+        *,
+        labels: np.ndarray | None = None,
+    ) -> None:
+        if p < 1 or q < 1:
             raise ValueError("p, q >= 1 required")
-        if set(self.red_assign) != set(self.base.R.elements()):
-            raise ValueError("red assignment must cover exactly the red layer")
-        if set(self.blue_assign) != set(self.base.B.elements()):
-            raise ValueError("blue assignment must cover exactly the blue layer")
-        if any(not 0 <= i < self.p for i in self.red_assign.values()):
-            raise ValueError("red part index out of range")
-        if any(not 0 <= i < self.q for i in self.blue_assign.values()):
-            raise ValueError("blue part index out of range")
+        if p + q > np.iinfo(np.int8).max:
+            raise ValueError("p + q must fit the int8 labels")
+        n = 1 << base.m
+        if labels is None and red_assign is not None and blue_assign is not None:
+            labels = np.full(n, -1, dtype=np.int64)
+            for assign, layer, offset in ((red_assign, base.R, 0), (blue_assign, base.B, p)):
+                if set(assign) != set(layer.elements()):
+                    raise ValueError("each assignment must cover exactly its layer")
+                labels[list(assign)] = np.fromiter(assign.values(), dtype=np.int64) + offset
+        elif labels is None or red_assign is not None or blue_assign is not None:
+            raise TypeError("pass either red_assign and blue_assign, or labels")
+        labels = np.asarray(labels)
+        if labels.shape != (n,) or labels.dtype.kind != "i":
+            raise ValueError("labels must be a signed integer vector of length 2^m")
+        red_layer, blue_layer = _layers(base)
+        is_red, is_blue = (labels >= 0) & (labels < p), (labels >= p) & (labels < p + q)
+        if not (np.array_equal(is_red, red_layer) and np.array_equal(is_blue, blue_layer)
+                and (labels[~(is_red | is_blue)] == -1).all()):
+            raise ValueError("labels must give the red layer red parts, "
+                             "the blue layer blue parts and the rest -1")
+        labels = labels.astype(np.int8)  # a private copy, frozen below
+        labels.flags.writeable = False
+        for name, value in zip(("base", "p", "q", "seed", "labels"), (base, p, q, seed, labels)):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SplitState):
+            return NotImplemented
+        return (self.base, self.p, self.q, self.seed) == (
+            other.base, other.p, other.q, other.seed
+        ) and np.array_equal(self.labels, other.labels)
 
     @property
     def spec(self) -> AlgebraSpec:
         return AlgebraSpec(self.p, self.q)
 
+    def _assign(self, offset: int, bound: int) -> dict[int, int]:
+        xs = np.flatnonzero((self.labels >= offset) & (self.labels < offset + bound))
+        return dict(zip(xs.tolist(), (self.labels[xs] - offset).tolist()))
+
+    @property
+    def red_assign(self) -> dict[int, int]:
+        """Red-layer element -> red part index (a fresh dict)."""
+        return self._assign(0, self.p)
+
+    @property
+    def blue_assign(self) -> dict[int, int]:
+        """Blue-layer element -> blue part index (a fresh dict)."""
+        return self._assign(self.p, self.q)
+
     def part_elements(self, c: ColorId) -> list[int]:
-        assign, bound = (
-            (self.red_assign, self.p) if c.is_red else (self.blue_assign, self.q)
-        )
-        if c.index >= bound:
-            raise ValueError(f"{c!r} out of range")
-        return sorted(x for x, i in assign.items() if i == c.index)
+        return np.flatnonzero(self.labels == self.spec.color_index(c)).tolist()
 
     def parts(self) -> dict[ColorId, CubeSubset]:
         """Parts as cube subsets (possibly empty ones included)."""
-        m = self.base.m
-        out = {}
-        for i in range(self.p):
-            out[red(i)] = CubeSubset.from_elements(m, self.part_elements(red(i)))
-        for i in range(self.q):
-            out[blue(i)] = CubeSubset.from_elements(m, self.part_elements(blue(i)))
-        return out
+        return {
+            c: CubeSubset.from_indicator(self.base.m, self.labels == code)
+            for code, c in enumerate(self.spec.diversity_colors())
+        }
 
     def to_coloring(self) -> GroupColoring:
         """As a GroupColoring; fails if any part is empty."""
         return GroupColoring(self.base.m, self.parts())
 
 
+def _layers(base: LayerPartition) -> tuple[np.ndarray, np.ndarray]:
+    """Boolean indicators of the red and blue layers."""
+    return base.R.indicator().astype(bool), base.B.indicator().astype(bool)
+
+
 def random_split(part: LayerPartition, p: int, q: int, seed: int) -> SplitState:
-    """Independently uniform part assignment for every layer element."""
+    """Independently uniform part assignment for every layer element.
+
+    Element x gets `part_index(seed, x, parts)`, computed for all 2^m
+    elements at once: `_mix64` is plain integer arithmetic, so on a uint64
+    vector it wraps mod 2^64 exactly as the masked scalar code does.
+    """
     if p < 1 or q < 1:
         raise ValueError("p, q >= 1 required")
-    red_assign = {x: part_index(seed, x, p) for x in part.R.elements()}
-    blue_assign = {x: part_index(seed, x, q) for x in part.B.elements()}
-    return SplitState(part, p, q, seed, red_assign, blue_assign)
+    h = _mix64(np.arange(1 << part.m, dtype=np.uint64) ^ np.uint64(_mix64(seed)))
+    red_layer, blue_layer = _layers(part)
+    labels = np.where(red_layer, h % p, h % q + p).astype(np.int8)
+    labels[~(red_layer | blue_layer)] = -1
+    return SplitState(part, p, q, seed, labels=labels)
 
 
 def split_from_coloring(
     base: LayerPartition, coloring: GroupColoring, p: int, q: int
 ) -> SplitState:
     """View an existing coloring as a split of `base` (parts must refine it)."""
-    red_assign: dict[int, int] = {}
-    blue_assign: dict[int, int] = {}
-    for i in range(p):
-        for x in coloring.parts[red(i)].elements():
-            red_assign[x] = i
-    for i in range(q):
-        for x in coloring.parts[blue(i)].elements():
-            blue_assign[x] = i
-    return SplitState(base, p, q, 0, red_assign, blue_assign)
+    labels = np.full(1 << base.m, -1, dtype=np.int8)
+    for code, c in enumerate(AlgebraSpec(p, q).diversity_colors()):
+        labels[coloring.parts[c].to_array()] = code
+    return SplitState(base, p, q, 0, labels=labels)
 
 
 def embedded_split_state() -> SplitState:
@@ -225,19 +276,29 @@ def _rule_masks(
 def _counts(
     s: SplitState, spec: AlgebraSpec, naive: bool
 ) -> tuple[dict[ColorId, np.ndarray], dict[tuple[ColorId, ColorId], np.ndarray]]:
-    """Boolean part indicators and all ordered pair-count vectors of a split."""
+    """Boolean part indicators and all ordered pair-count vectors of a split.
+
+    XOR convolution commutes, so one count vector is computed per unordered
+    pair; its mirror is a copy, because the climb updates both in place.
+    """
     if (spec.p, spec.q) != (s.p, s.q):
         raise ValueError("spec shape must match the split's (p, q)")
     colors = spec.diversity_colors()
-    parts = s.parts()
-    ind = {c: parts[c].indicator().astype(bool) for c in colors}
+    ind = {c: s.labels == code for code, c in enumerate(colors)}
     if naive:
+        parts = s.parts()
         count = lambda c1, c2: pair_counts_naive(parts[c1], parts[c2])
     else:
-        # one forward transform per part, one inverse per ordered pair
-        fwd = {c: walsh_hadamard(parts[c].indicator()) for c in colors}
+        # one forward transform per part, one inverse per unordered pair
+        fwd = {c: walsh_hadamard(at.astype(np.int64)) for c, at in ind.items()}
         count = lambda c1, c2: walsh_hadamard(fwd[c1] * fwd[c2]) >> s.base.m
-    return ind, {(c1, c2): count(c1, c2) for c1 in colors for c2 in colors}
+    counts = {}
+    for i, c1 in enumerate(colors):
+        for c2 in colors[i:]:
+            counts[(c1, c2)] = count(c1, c2)
+            if c2 != c1:
+                counts[(c2, c1)] = counts[(c1, c2)].copy()
+    return ind, counts
 
 
 def _report(s: SplitState, spec: AlgebraSpec, naive: bool) -> ViolationReport:
@@ -272,52 +333,53 @@ def violations_naive(s: SplitState, spec: AlgebraSpec) -> ViolationReport:
 class _ClimbEngine:
     """Incremental violation bookkeeping for single-element moves.
 
-    Maintains per-color indicators and all ordered pair-count vectors;
-    moving one element updates each affected count vector with one gather
-    instead of a fresh transform.  Violations are read through the same
-    rule masks as `violations`, so only the count arithmetic is incremental.
+    Maintains a writable copy of the split's labels, per-color indicators
+    and all ordered pair-count vectors; moving one element updates each
+    affected count vector with one gather instead of a fresh transform.
+    Violations are read through the same rule masks as `violations`, so
+    only the count arithmetic is incremental.
     """
 
     def __init__(self, state: SplitState, spec: AlgebraSpec):
         self.base = state.base
         self.p, self.q = state.p, state.q
         self.n = 1 << state.base.m
+        self.index = np.arange(self.n)  # XOR-ed with an element to translate by it
         self.colors = spec.diversity_colors()
+        self.labels = state.labels.copy()
         ind, self.counts = _counts(state, spec, naive=False)
         # int64, so that a move's gathers add into the counts without a cast
         self.ind = {c: at.astype(np.int64) for c, at in ind.items()}
         self.rules = _rules(spec)
         # which colors an element may take, by layer
-        self.red_colors = [c for c in self.colors if c.is_red]
-        self.blue_colors = [c for c in self.colors if c.is_blue]
-        self.layer_ind = {
-            "R": state.base.R.indicator().astype(bool),
-            "B": state.base.B.indicator().astype(bool),
-        }
-
-    def _gather(self, c: ColorId, e: int) -> np.ndarray:
-        idx = np.bitwise_xor(np.arange(self.n), e)
-        return self.ind[c][idx]
+        self.red_colors = self.colors[: self.p]
+        self.blue_colors = self.colors[self.p :]
+        self.layer_ind = {"R": (self.labels >= 0) & (self.labels < self.p),
+                          "B": self.labels >= self.p}
 
     def remove(self, c: ColorId, e: int) -> None:
+        idx = self.index ^ e
         for d in self.colors:
             if d == c:
                 continue
-            g = self._gather(d, e)
+            g = self.ind[d][idx]
             self.counts[(c, d)] -= g
             self.counts[(d, c)] -= g
-        self.counts[(c, c)] -= self._gather(c, e)  # pairs (e, x), x incl. e
+        self.counts[(c, c)] -= self.ind[c][idx]  # pairs (e, x), x incl. e
         self.ind[c][e] = 0
-        self.counts[(c, c)] -= self._gather(c, e)  # pairs (x, e), x != e
+        self.labels[e] = -1
+        self.counts[(c, c)] -= self.ind[c][idx]  # pairs (x, e), x != e
 
     def add(self, c: ColorId, e: int) -> None:
-        self.counts[(c, c)] += self._gather(c, e)  # pairs (x, e), x != e
+        idx = self.index ^ e
+        self.counts[(c, c)] += self.ind[c][idx]  # pairs (x, e), x != e
         self.ind[c][e] = 1
-        self.counts[(c, c)] += self._gather(c, e)  # pairs (e, x), x incl. e
+        self.labels[e] = self.colors.index(c)
+        self.counts[(c, c)] += self.ind[c][idx]  # pairs (e, x), x incl. e
         for d in self.colors:
             if d == c:
                 continue
-            g = self._gather(d, e)
+            g = self.ind[d][idx]
             self.counts[(c, d)] += g
             self.counts[(d, c)] += g
 
@@ -347,7 +409,7 @@ class _ClimbEngine:
             pool[z] = True
             la = self.layer_ind["R"] if pair.first.is_red else self.layer_ind["B"]
             lb = self.layer_ind["R"] if pair.second.is_red else self.layer_ind["B"]
-            idx = np.bitwise_xor(np.arange(self.n), z)
+            idx = self.index ^ z
             pool |= la & lb[idx]
             pool |= lb & la[idx]
         pool &= movable
@@ -355,24 +417,16 @@ class _ClimbEngine:
         return pool
 
     def color_of(self, e: int) -> ColorId:
-        for c in self.colors:
-            if self.ind[c][e]:
-                return c
-        raise KeyError(e)
+        code = self.labels[e]
+        if code < 0:
+            raise KeyError(e)
+        return self.colors[code]
 
-    def options_for(self, e: int) -> list[ColorId]:
+    def options_for(self, e: int) -> tuple[ColorId, ...]:
         return self.red_colors if self.layer_ind["R"][e] else self.blue_colors
 
     def to_state(self, seed: int) -> SplitState:
-        red_assign = {}
-        for c in self.red_colors:
-            for e in np.nonzero(self.ind[c])[0]:
-                red_assign[int(e)] = c.index
-        blue_assign = {}
-        for c in self.blue_colors:
-            for e in np.nonzero(self.ind[c])[0]:
-                blue_assign[int(e)] = c.index
-        return SplitState(self.base, self.p, self.q, seed, red_assign, blue_assign)
+        return SplitState(self.base, self.p, self.q, seed, labels=self.labels)
 
 
 def hill_climb(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from redblue import cube
 from redblue.algebra import ALGEBRA_ONE_BLUE, ALGEBRA_TWO_BLUE, blue, red
 from redblue.cube import (
     CUBE_DIM_CAP,
@@ -131,6 +132,19 @@ def test_pair_counts_random_pairs_m10():
         xs = CubeSubset.from_indicator(m, rng.integers(0, 2, size=1 << m))
         ys = CubeSubset.from_indicator(m, rng.integers(0, 2, size=1 << m))
         assert np.array_equal(pair_counts_naive(xs, ys), pair_counts(xs, ys))
+
+
+@pytest.mark.parametrize("block", [1, 7, 100, 1 << 20])
+def test_pair_counts_naive_blocks(monkeypatch, block):
+    # rows of the XOR table are enumerated in blocks; any block size,
+    # down to less than one row, must give the same counts
+    monkeypatch.setattr(cube, "NAIVE_BLOCK_PAIRS", block)
+    rng = np.random.default_rng(block)
+    m = 9
+    xs = CubeSubset.from_indicator(m, rng.integers(0, 2, size=1 << m))
+    ys = CubeSubset.from_indicator(m, rng.integers(0, 3, size=1 << m) == 0)
+    assert np.array_equal(pair_counts_naive(xs, ys), pair_counts(xs, ys))
+    assert np.array_equal(pair_counts_naive(ys, xs), pair_counts(xs, ys))
 
 
 def test_walsh_hadamard_involution():

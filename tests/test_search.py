@@ -126,6 +126,40 @@ def test_embedded_state_round_trip():
     assert rebuilt.red_assign == state.red_assign
 
 
+@given(
+    st.integers(min_value=0, max_value=2**64 - 1),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=1, max_value=8),
+)
+def test_array_draw_matches_part_index(seed, k, p, q):
+    # m = 3k + 1 runs up to 10; the uint64 draw must neither warn nor differ
+    part = layer_partition(k)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        state = random_split(part, p, q, seed)
+    assert state.red_assign == {x: part_index(seed, x, p) for x in part.R.elements()}
+    assert state.blue_assign == {x: part_index(seed, x, q) for x in part.B.elements()}
+    assert state.labels[0] == -1
+
+
+def test_random_split_equals_dict_built_state(part2):
+    drawn = random_split(part2, 2, 3, 17)
+    built = SplitState(part2, 2, 3, 17, drawn.red_assign, drawn.blue_assign)
+    assert built == drawn
+    assert SplitState(part2, 2, 3, 18, drawn.red_assign, drawn.blue_assign) != drawn
+    assert random_split(part2, 2, 3, 18) != drawn
+
+
+def test_split_labels_are_read_only(part2):
+    state = random_split(part2, 1, 2, 7)
+    with pytest.raises(ValueError):
+        state.labels[1] = 0
+    red_assign = state.red_assign
+    red_assign[next(iter(red_assign))] = 5  # a copy: the state is unchanged
+    assert state.red_assign == random_split(part2, 1, 2, 7).red_assign
+
+
 # ---------------------------------------------------------------------------
 # incremental engine vs fresh recount
 # ---------------------------------------------------------------------------
@@ -151,6 +185,28 @@ def test_engine_incremental_matches_fresh(part1):
         assert engine.violation_count() == fresh.count
         assert sorted(engine.unsatisfied_items(), key=key) == sorted(
             fresh.unsatisfied, key=key
+        )
+
+
+def test_engine_moves_in_both_layers_match_fresh(part2):
+    # p = 2, q = 2: every move updates a mirrored pair of count vectors
+    # in place, so the two entries of an unordered pair must not share memory
+    spec = AlgebraSpec(2, 2)
+    state = random_split(part2, 2, 2, 13)
+    engine = _ClimbEngine(state, spec)
+    key = lambda t: (t[0], t[1].first.kind, t[1].first.index,
+                     t[1].second.kind, t[1].second.index)
+    reds = sorted(part2.R.elements())[:4]
+    blues = sorted(part2.B.elements())[:4]
+    for e in [reds[0], blues[0], reds[1], blues[1], reds[0], blues[2], reds[3], blues[0]]:
+        current = engine.color_of(e)
+        target = next(c for c in engine.options_for(e) if c != current)
+        engine.remove(current, e)
+        engine.add(target, e)
+        fresh = violations(engine.to_state(0), spec)
+        assert engine.violation_count() == fresh.count
+        assert sorted(engine.unsatisfied_items(), key=key) == sorted(
+            fresh.unsatisfied + fresh.forbidden, key=key
         )
 
 
