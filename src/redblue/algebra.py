@@ -342,6 +342,18 @@ def smallest_certifying_k(n: int, k_max: int = 64) -> int | None:
     return None
 
 
+def union_bound_at(n: int, k: int | None) -> UnionBoundFailure | None:
+    """The union bound at k, or at `smallest_certifying_k(n)` when k is None.
+
+    None for n = 1, where a one-way split has nothing to fail, and when no
+    k certifies.
+    """
+    if n < 2:
+        return None
+    k = smallest_certifying_k(n) if k is None else k
+    return None if k is None else union_bound_failure(n, k)
+
+
 BOUND_CSV_HEADER = "n,lower,upper,log2_upper"
 
 UPPER_EXPLICIT = "explicit-split"
@@ -390,23 +402,23 @@ def best_upper_bound(n: int) -> tuple[int | None, int | None, str]:
     return 1 << exp, exp, source
 
 
-def bound_table(n_max: int, sat_certified: bool = True) -> list[BoundRow]:
-    """Rows (n, lower, best upper) for n = 2..n_max.
+def bound_row(n: int, sat_certified: bool) -> BoundRow:
+    """Lower and best upper bound on minimum points for n >= 1 blues.
 
     With `sat_certified` the n = 2 lower bound is the solver-established 26
     rather than the counting formula's 17.
     """
+    lower = lower_bound_points(n)
+    certified = sat_certified and n == 2
+    upper, log2_upper, source = best_upper_bound(n)
+    return BoundRow(n, 26 if certified else lower, certified, upper, log2_upper, source)
+
+
+def bound_table(n_max: int, sat_certified: bool = True) -> list[BoundRow]:
+    """`bound_row` for n = 2..n_max."""
     if n_max < 2:
         raise ValueError("n_max >= 2 required")
-    rows = []
-    for n in range(2, n_max + 1):
-        lower = lower_bound_points(n)
-        certified = False
-        if n == 2 and sat_certified:
-            lower, certified = 26, True
-        upper, log2_upper, source = best_upper_bound(n)
-        rows.append(BoundRow(n, lower, certified, upper, log2_upper, source))
-    return rows
+    return [bound_row(n, sat_certified) for n in range(2, n_max + 1)]
 
 
 def iter_bound_csv(rows: list[BoundRow]) -> Iterator[str]:

@@ -33,16 +33,15 @@ from .algebra import (
     IDENTITY,
     AlgebraSpec,
     ColorId,
-    best_upper_bound,
     blue,
+    bound_row,
     bound_table,
     iter_bound_csv,
     lower_bound_points,
     parse_color_name,
     red,
-    smallest_certifying_k,
     threshold_check,
-    union_bound_failure,
+    union_bound_at,
 )
 from .cube import (
     CubeSubset,
@@ -57,19 +56,11 @@ from .cube import (
     witness_minima,
     write_split,
 )
-from .repcheck import check_representation, parse_coloring
-from .sat.dimacs import parse_dimacs, to_dimacs
-from .sat.encode import VARIANTS, ClauseGroup, CnfFormula, all_edges_formula, build_formula
+from .repcheck import check_representation, coloring_header, parse_coloring
+from .sat.dimacs import formula_from_dimacs, to_dimacs
+from .sat.encode import VARIANTS, CnfFormula, all_edges_formula, build_formula
 from .sat.solve import SAT, UNKNOWN, solve
-from .search import (
-    SEARCH_CSV_HEADER,
-    hill_climb,
-    iter_trial_csv,
-    monte_carlo,
-    random_split,
-    trial_seed,
-)
-from .search import violations as split_violations
+from .search import MonteCarloResult, SplitState, TrialResult, iter_trial_csv, iter_trials
 
 log = logging.getLogger("redblue")
 
@@ -285,29 +276,26 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     n = args.n
     if n < 1:
         raise UsageError("--n must be >= 1")
+    if args.k is not None and n < 2:
+        raise UsageError("union bounds need n >= 2")
 
+    row = bound_row(n, args.sat_certified)
     lower = lower_bound_points(n)
-    certified_lower = 26 if (n == 2 and args.sat_certified) else None
-    upper, log2_upper, source = best_upper_bound(n) if n >= 2 else (None, None, "")
-    scan_k = smallest_certifying_k(n) if n >= 2 else None
-    evals = []
-    if args.k is not None:
-        if n < 2:
-            raise UsageError("union bounds need n >= 2")
-        evals.append(union_bound_failure(n, args.k))
-    elif scan_k is not None:
-        evals.append(union_bound_failure(n, scan_k))
+    scan = union_bound_at(n, None)
+    scan_k = None if scan is None else scan.k
+    union = scan if args.k is None else union_bound_at(n, args.k)
+    evals = [] if union is None else [union]
 
     if args.format == "json":
         _print_json(
             {
                 "n": n,
-                "lower": certified_lower or lower,
+                "lower": row.lower,
                 "lower_formula": lower,
-                "lower_certified": certified_lower is not None,
-                "upper": upper,
-                "log2_upper": log2_upper,
-                "upper_source": source or None,
+                "lower_certified": row.lower_certified,
+                "upper": row.upper,
+                "log2_upper": row.log2_upper,
+                "upper_source": row.upper_source or None,
                 "threshold_5n3_lt_2n": threshold_check(n),
                 "scan_smallest_k": scan_k,
                 "union_bounds": [
@@ -324,12 +312,12 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         )
     else:
         print(f"n = {n}")
-        if certified_lower:
-            print(f"lower bound: {certified_lower} points (solver-certified; counting formula gives {lower})")
+        if row.lower_certified:
+            print(f"lower bound: {row.lower} points (solver-certified; counting formula gives {lower})")
         else:
             print(f"lower bound: {lower} points (2n^2 + 4n + 1)")
-        if upper is not None:
-            print(f"upper bound: {upper} = 2^{log2_upper} points ({source})")
+        if row.upper is not None:
+            print(f"upper bound: {row.upper} = 2^{row.log2_upper} points ({row.upper_source})")
         else:
             print("upper bound: none proven in this regime")
         if scan_k is not None:
@@ -367,47 +355,31 @@ def cmd_search(args: argparse.Namespace) -> int:
     m = 3 * args.k + 1
     _check_memory(args, 10 * 8 * (1 << m), f"split search at m={m}")
     part = layer_partition(args.k)
-    spec = AlgebraSpec(args.p, args.q)
-    n = max(args.p, args.q)
-    prediction = union_bound_failure(n, args.k) if n >= 2 else None
-
-    solved_states = []
-    if args.hill:
-        rows = []
-        successes = 0
-        for t in range(args.trials):
-            ts = trial_seed(args.seed, t)
-            state = random_split(part, args.p, args.q, ts)
-            final, _trace = hill_climb(state, spec, args.budget, ts, anneal=args.anneal)
-            report = split_violations(final, spec)
-            rows.append((t, ts, report.count, report.solved))
-            if report.solved:
-                successes += 1
-                solved_states.append((t, final))
-        csv_lines = [SEARCH_CSV_HEADER] + [
-            f"{t},{s},{v},{int(ok)}" for t, s, v, ok in rows
-        ]
-        mode = f"hill (budget {args.budget}{', anneal' if args.anneal else ''})"
-    else:
-        result = monte_carlo(part, args.p, args.q, args.trials, args.seed)
-        successes = result.successes
-        csv_lines = list(iter_trial_csv(result))
-        mode = "random"
-
-    csv_text = "\n".join(csv_lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(csv_text)
-
     saved = []
-    if args.save_solved and solved_states:
-        directory = Path(args.save_solved)
-        directory.mkdir(parents=True, exist_ok=True)
-        for t, state in solved_states:
-            path = directory / f"solved-k{args.k}-p{args.p}q{args.q}-trial{t:05d}.txt"
+
+    def save(trial: TrialResult, state: SplitState) -> TrialResult:
+        """Write a solved split to --save-solved as soon as it is found."""
+        if trial.solved and args.save_solved:
+            directory = Path(args.save_solved)
+            directory.mkdir(parents=True, exist_ok=True)
+            path = directory / f"solved-k{args.k}-p{args.p}q{args.q}-trial{trial.trial:05d}.txt"
             path.write_text(write_split(state.to_coloring()))
             saved.append(str(path))
+        return trial
 
-    rate = successes / args.trials
+    budget = args.budget if args.hill else None
+    trials = iter_trials(part, args.p, args.q, args.trials, args.seed, budget, args.anneal)
+    rows = (save(trial, state) for trial, state in trials)
+    result = MonteCarloResult.from_rows(part, args.p, args.q, rows)
+    if args.hill:
+        mode = f"hill (budget {args.budget}{', anneal' if args.anneal else ''})"
+    else:
+        mode = "random"
+
+    if args.out:
+        Path(args.out).write_text("\n".join(iter_trial_csv(result)) + "\n")
+
+    prediction = result.prediction
     if args.format == "json":
         _print_json(
             {
@@ -417,8 +389,8 @@ def cmd_search(args: argparse.Namespace) -> int:
                 "trials": args.trials,
                 "seed": args.seed,
                 "mode": mode,
-                "solved": successes,
-                "rate": rate,
+                "solved": result.successes,
+                "rate": result.rate,
                 "prediction": None
                 if prediction is None
                 else {
@@ -436,7 +408,7 @@ def cmd_search(args: argparse.Namespace) -> int:
             f"k={args.k} p={args.p} q={args.q} trials={args.trials} "
             f"seed={args.seed} mode={mode}"
         )
-        print(f"solved: {successes}/{args.trials} (rate {rate:.4g})")
+        print(f"solved: {result.successes}/{args.trials} (rate {result.rate:.4g})")
         if prediction is None:
             print("union-bound prediction: not applicable (single part per layer)")
         else:
@@ -482,10 +454,7 @@ def cmd_check_rep(args: argparse.Namespace) -> int:
             "colors": spec.num_diversity,
         }
     elif head == "kn":
-        fields = dict(
-            item.split("=", 1) for item in text.splitlines()[0].split()[1:]
-        )
-        spec = _spec_for_colors(args, int(fields["colors"]))
+        spec = _spec_for_colors(args, coloring_header(text)[1])
         coloring = parse_coloring(text, spec)
         if not coloring.is_total:
             raise UsageError(
@@ -534,22 +503,21 @@ def cmd_encode(args: argparse.Namespace) -> int:
         raise UsageError("--points must be >= 3 (need witness candidates)")
     formula = _build_cli_formula(args)
     text = to_dimacs(formula)
-    if args.format == "json":
-        payload = {
-            "points": formula.points,
-            "variant": formula.variant,
-            "colors": formula.colors,
-            "vars": formula.num_vars,
-            "clauses": formula.num_clauses,
-            "groups": {g.tag: len(g.clauses) for g in formula.groups},
-            "out": args.out,
-        }
-        if args.out:
-            Path(args.out).write_text(text)
-        _print_json(payload)
-        return EXIT_OK
     if args.out:
         Path(args.out).write_text(text)
+    if args.format == "json":
+        _print_json(
+            {
+                "points": formula.points,
+                "variant": formula.variant,
+                "colors": formula.colors,
+                "vars": formula.num_vars,
+                "clauses": formula.num_clauses,
+                "groups": {g.tag: len(g.clauses) for g in formula.groups},
+                "out": args.out,
+            }
+        )
+    elif args.out:
         print(
             f"wrote {args.out}: V={formula.points} variant={formula.variant} "
             f"vars={formula.num_vars} clauses={formula.num_clauses}"
@@ -557,47 +525,6 @@ def cmd_encode(args: argparse.Namespace) -> int:
     else:
         sys.stdout.write(text)
     return EXIT_OK
-
-
-def _formula_from_dimacs(path: str) -> CnfFormula:
-    """Rebuild a formula object from a DIMACS file.
-
-    Files written by this package are self-describing; their comment
-    metadata re-enables model decoding and representation rechecks.
-    Foreign files still solve, just without decoding.
-    """
-    text = Path(path).read_text()
-    num_vars, clauses = parse_dimacs(text)
-    meta: dict[str, str] = {}
-    for line in text.splitlines():
-        if line.startswith("p "):
-            break
-        if not line.startswith("c "):
-            continue
-        for token in line[2:].split():
-            key, eq, value = token.partition("=")
-            if eq:
-                meta.setdefault(key, value)
-    points = int(meta.get("V", 0))
-    colors = int(meta.get("t", 0))
-    variant = meta.get("variant", "parsed")
-    decodable = (
-        points >= 2
-        and colors >= 2
-        and num_vars >= colors * points * (points - 1) // 2
-    )
-    if not decodable:
-        points, colors, variant = 0, 2, "parsed"
-    return CnfFormula(
-        points=points,
-        colors=colors,
-        variant=variant,
-        spec=AlgebraSpec(1, colors - 1),
-        num_vars=num_vars,
-        groups=(ClauseGroup("parsed", tuple(clauses)),),
-        full_check=decodable and variant == "all-edges",
-        comments=(f"parsed from {path}",),
-    )
 
 
 def _report_outcome(args: argparse.Namespace, outcome, formula: CnfFormula) -> None:
@@ -636,7 +563,7 @@ def _expect_exit(status: str, expect: str | None) -> int:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    formula = _formula_from_dimacs(args.cnf)
+    formula = formula_from_dimacs(Path(args.cnf).read_text(), args.cnf)
     outcome = solve(formula, solver=args.solver, timeout=args.timeout)
     _report_outcome(args, outcome, formula)
     return _expect_exit(outcome.status, args.expect)
@@ -758,6 +685,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--extended", action="store_true",
         help="allow long-running regimes (large V solves, huge trial counts)",
     )
+    k6 = _flag(
+        "--k6", action=argparse.BooleanOptionalAction, default=None,
+        help="include the red-clique extension of the precoloring",
+    )
+    solver = _flag(
+        "--solver", default=None, help="path to a CDCL solver, e.g. bin/redblue-cdcl"
+    )
+    timeout = _flag("--timeout", type=float, default=3600.0, help="seconds per instance")
 
     parser = argparse.ArgumentParser(
         prog="redblue",
@@ -833,26 +768,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_check_rep)
 
     p = sub.add_parser(
-        "encode", parents=[common, out], help="emit a DIMACS instance"
+        "encode", parents=[common, out, k6], help="emit a DIMACS instance"
     )
     p.add_argument("--points", type=int, required=True)
     p.add_argument(
         "--variant", choices=VARIANTS + ("all-edges",), default="basic"
-    )
-    p.add_argument(
-        "--k6", action=argparse.BooleanOptionalAction, default=None,
-        help="include the red-clique extension of the precoloring",
     )
     p.add_argument("--p", type=int, default=1, help="red color count")
     p.add_argument("--q", type=int, default=2, help="blue color count")
     p.set_defaults(func=cmd_encode)
 
     p = sub.add_parser(
-        "solve", parents=[common], help="decide a DIMACS instance and certify the result"
+        "solve", parents=[common, solver, timeout], help="decide a DIMACS instance and certify the result"
     )
     p.add_argument("--cnf", required=True, metavar="FILE")
-    p.add_argument("--solver", default=None, help="path to a CDCL solver, e.g. bin/redblue-cdcl")
-    p.add_argument("--timeout", type=float, default=3600.0, help="seconds per instance")
     p.add_argument(
         "--expect", choices=("sat", "unsat"), default=None,
         help="exit 1 when the outcome contradicts this",
@@ -860,18 +789,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser(
-        "pipeline", parents=[common, threads, extended],
+        "pipeline", parents=[common, threads, extended, k6, solver, timeout],
         help="encode and solve a range of lower-bound instances, persisting artifacts",
     )
     p.add_argument("--from", dest="v_from", type=int, required=True, metavar="V")
     p.add_argument("--to", dest="v_to", type=int, required=True, metavar="V")
     p.add_argument("--variant", choices=VARIANTS, default="basic")
-    p.add_argument(
-        "--k6", action=argparse.BooleanOptionalAction, default=None,
-        help="include the red-clique extension of the precoloring",
-    )
-    p.add_argument("--solver", default=None, help="path to a CDCL solver, e.g. bin/redblue-cdcl")
-    p.add_argument("--timeout", type=float, default=3600.0, help="seconds per instance")
     p.add_argument(
         "--expect", choices=("sat", "unsat"), default="unsat",
         help="exit 1 when any outcome contradicts this (default unsat)",

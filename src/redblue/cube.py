@@ -572,17 +572,25 @@ def write_split(coloring: GroupColoring) -> str:
     return "\n".join(lines) + "\n"
 
 
+def parse_header(text: str, kind: str, keys: tuple[str, ...]) -> tuple[int, ...]:
+    """The integer `keys` of the `<kind> key=value ...` first line of a file."""
+    lines = text.strip().splitlines()
+    if not lines:
+        raise ValueError(f"empty file; expected a {kind!r} header")
+    words = lines[0].split()
+    if len(words) != len(keys) + 1 or words[0] != kind:
+        raise ValueError(f"bad header {lines[0]!r}")
+    fields = dict(word.partition("=")[::2] for word in words[1:])
+    for key in keys:
+        if key not in fields:
+            raise ValueError(f"header {lines[0]!r} has no {key}=")
+    return tuple(int(fields[key]) for key in keys)
+
+
 def parse_split(text: str) -> GroupColoring:
     """Parse the split text format back into a coloring."""
+    m, t = parse_header(text, "cube", ("m", "colors"))
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("empty split file")
-    header = lines[0].split()
-    if len(header) != 3 or header[0] != "cube":
-        raise ValueError(f"bad header {lines[0]!r}")
-    fields = dict(item.split("=", 1) for item in header[1:])
-    m = int(fields["m"])
-    t = int(fields["colors"])
     if len(lines) - 1 != t:
         raise ValueError(f"expected {t} color lines, found {len(lines) - 1}")
     parts: dict[ColorId, CubeSubset] = {}

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
 from .algebra import AlgebraSpec, ColorId, NeedPair, blue, is_mandatory, needs_of, red
-from .cube import GroupColoring
+from .cube import GroupColoring, parse_header
 
 Edge = tuple[int, int]
 
@@ -357,23 +357,20 @@ def write_coloring(c: EdgeColoring, spec: AlgebraSpec) -> str:
     return "\n".join(lines) + "\n"
 
 
+def coloring_header(text: str) -> tuple[int, int]:
+    """(V, colors) from the `kn V=<V> colors=<t>` header of a coloring file."""
+    return parse_header(text, "kn", ("V", "colors"))
+
+
 def parse_coloring(text: str, spec: AlgebraSpec) -> EdgeColoring:
     """Parse the coloring file format; partial colorings are permitted."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("empty coloring file")
-    header = lines[0].split()
-    if len(header) != 3 or header[0] != "kn":
-        raise ValueError(f"bad header {lines[0]!r}")
-    fields = dict(item.split("=", 1) for item in header[1:])
-    V = int(fields["V"])
-    t = int(fields["colors"])
+    V, t = coloring_header(text)
     if t != spec.num_diversity:
         raise ValueError(
             f"file declares {t} colors but the algebra has {spec.num_diversity}"
         )
     out = EdgeColoring(V)
-    for line in lines[1:]:
+    for line in [ln.strip() for ln in text.splitlines() if ln.strip()][1:]:
         parts = line.split()
         if len(parts) != 3:
             raise ValueError(f"bad edge line {line!r}")

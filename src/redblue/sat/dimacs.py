@@ -8,7 +8,8 @@ formulas produce byte-identical files.
 
 from __future__ import annotations
 
-from .encode import Clause, CnfFormula
+from ..algebra import AlgebraSpec
+from .encode import Clause, ClauseGroup, CnfFormula
 
 
 def to_dimacs(formula: CnfFormula) -> str:
@@ -63,3 +64,43 @@ def parse_dimacs(text: str) -> tuple[int, list[Clause]]:
             f"header declares {num_clauses} clauses, file has {len(clauses)}"
         )
     return num_vars, clauses
+
+
+def formula_from_dimacs(text: str, source: str) -> CnfFormula:
+    """Rebuild a formula object from DIMACS text read from `source`.
+
+    Files written by `to_dimacs` are self-describing; their comment
+    metadata re-enables model decoding and representation rechecks.
+    Foreign files still solve, just without decoding.
+    """
+    num_vars, clauses = parse_dimacs(text)
+    meta: dict[str, str] = {}
+    for line in text.splitlines():
+        if line.startswith("p "):
+            break
+        if not line.startswith("c "):
+            continue
+        for token in line[2:].split():
+            key, eq, value = token.partition("=")
+            if eq:
+                meta.setdefault(key, value)
+    points = int(meta.get("V", 0))
+    colors = int(meta.get("t", 0))
+    variant = meta.get("variant", "parsed")
+    decodable = (
+        points >= 2
+        and colors >= 2
+        and num_vars >= colors * points * (points - 1) // 2
+    )
+    if not decodable:
+        points, colors, variant = 0, 2, "parsed"
+    return CnfFormula(
+        points=points,
+        colors=colors,
+        variant=variant,
+        spec=AlgebraSpec(1, colors - 1),
+        num_vars=num_vars,
+        groups=(ClauseGroup("parsed", tuple(clauses)),),
+        full_check=decodable and variant == "all-edges",
+        comments=(f"parsed from {source}",),
+    )

@@ -25,7 +25,7 @@ import shutil
 import subprocess
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from ..repcheck import EdgeColoring, check_representation
 from .dimacs import to_dimacs
@@ -263,15 +263,8 @@ def enumerate_models(
     blocked: list[Clause] = []
     out: list[EdgeColoring] = []
     while len(out) < limit:
-        augmented = CnfFormula(
-            points=formula.points,
-            colors=formula.colors,
-            variant=formula.variant,
-            spec=formula.spec,
-            num_vars=formula.num_vars,
-            groups=formula.groups + (ClauseGroup("blocked", tuple(blocked)),),
-            full_check=formula.full_check,
-            comments=formula.comments,
+        augmented = replace(
+            formula, groups=formula.groups + (ClauseGroup("blocked", tuple(blocked)),)
         )
         outcome = solve(augmented, solver=solver, timeout=timeout)
         if outcome.status == UNKNOWN:

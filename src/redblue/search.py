@@ -9,7 +9,8 @@ bit-identical across platforms (see `random_split`).  The violation counter
 uses the transform route from the cube module; the naive route doubles as
 an independent oracle, and any split the hill climber claims to have solved
 is re-verified against it before being reported.  Both routes and the
-climber judge the counts by one rule table (`_rules`).
+climber judge the counts by one rule table (`_rules`).  `iter_trials` is
+the one trial loop, with or without repair; `monte_carlo` tallies it.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from .algebra import (
     NeedPair,
     UnionBoundFailure,
     is_mandatory,
-    union_bound_failure,
+    union_bound_at,
 )
 from .cube import (
     CubeSubset,
@@ -278,8 +279,7 @@ def _counts(
 ) -> tuple[dict[ColorId, np.ndarray], dict[tuple[ColorId, ColorId], np.ndarray]]:
     """Boolean part indicators and all ordered pair-count vectors of a split.
 
-    XOR convolution commutes, so one count vector is computed per unordered
-    pair; its mirror is a copy, because the climb updates both in place.
+    XOR convolution commutes, so a pair and its mirror share one vector.
     """
     if (spec.p, spec.q) != (s.p, s.q):
         raise ValueError("spec shape must match the split's (p, q)")
@@ -296,8 +296,7 @@ def _counts(
     for i, c1 in enumerate(colors):
         for c2 in colors[i:]:
             counts[(c1, c2)] = count(c1, c2)
-            if c2 != c1:
-                counts[(c2, c1)] = counts[(c1, c2)].copy()
+            counts[(c2, c1)] = counts[(c1, c2)]
     return ind, counts
 
 
@@ -360,11 +359,8 @@ class _ClimbEngine:
     def remove(self, c: ColorId, e: int) -> None:
         idx = self.index ^ e
         for d in self.colors:
-            if d == c:
-                continue
-            g = self.ind[d][idx]
-            self.counts[(c, d)] -= g
-            self.counts[(d, c)] -= g
+            if d != c:
+                self.counts[(c, d)] -= self.ind[d][idx]  # also the mirror (d, c)
         self.counts[(c, c)] -= self.ind[c][idx]  # pairs (e, x), x incl. e
         self.ind[c][e] = 0
         self.labels[e] = -1
@@ -377,11 +373,8 @@ class _ClimbEngine:
         self.labels[e] = self.colors.index(c)
         self.counts[(c, c)] += self.ind[c][idx]  # pairs (e, x), x incl. e
         for d in self.colors:
-            if d == c:
-                continue
-            g = self.ind[d][idx]
-            self.counts[(c, d)] += g
-            self.counts[(d, c)] += g
+            if d != c:
+                self.counts[(c, d)] += self.ind[d][idx]
 
     def violation_count(self) -> int:
         return sum(
@@ -429,14 +422,17 @@ class _ClimbEngine:
         return SplitState(self.base, self.p, self.q, seed, labels=self.labels)
 
 
+# the annealing schedule: temperature at the first move, factor per move
+START_TEMP = 2.0
+COOLING = 0.9995
+
+
 def hill_climb(
     s: SplitState,
     spec: AlgebraSpec,
     budget: int,
     seed: int,
     anneal: bool = False,
-    start_temp: float = 2.0,
-    cooling: float = 0.9995,
 ) -> tuple[SplitState, list[tuple[int, int]]]:
     """Single-element local search toward zero violations.
 
@@ -446,12 +442,12 @@ def hill_climb(
     Moves are accepted when the violation count does not increase, so the
     trace of (move index, count) at each accepted move is nonincreasing.
     With `anneal`, uphill moves are also accepted with probability
-    exp(-delta/T) under a geometric cooling schedule, and the trace may
-    increase.  Stops at zero violations (in which case the result is
-    re-verified by the naive counting route and a bookkeeping divergence
-    raises) or when the budget runs out; if no violating element is free
-    to move (for instance p = 1 with only red-target violations), the
-    climb stops early.
+    exp(-delta/T) under a geometric cooling schedule (`START_TEMP`,
+    `COOLING`), and the trace may increase.  Stops at zero violations (in
+    which case the result is re-verified by the naive counting route and a
+    bookkeeping divergence raises) or when the budget runs out; if no
+    violating element is free to move (for instance p = 1 with only
+    red-target violations), the climb stops early.
     """
     if budget < 0:
         raise ValueError("budget >= 0 required")
@@ -461,7 +457,7 @@ def hill_climb(
     if count == 0:
         return s, trace
     rng = random.Random(seed)
-    temp = start_temp
+    temp = START_TEMP
     pool = np.nonzero(engine.move_pool())[0]
     for move in range(budget):
         if count == 0 or pool.size == 0:
@@ -484,7 +480,7 @@ def hill_climb(
             engine.remove(new, e)
             engine.add(old, e)
         if anneal:
-            temp *= cooling
+            temp *= COOLING
     final = engine.to_state(s.seed)
     if count == 0:
         report = violations_naive(final, spec)
@@ -496,7 +492,7 @@ def hill_climb(
 
 
 # ---------------------------------------------------------------------------
-# Monte Carlo estimation
+# trials
 # ---------------------------------------------------------------------------
 
 
@@ -507,12 +503,50 @@ class TrialResult(NamedTuple):
     solved: bool
 
 
+def iter_trials(
+    part: LayerPartition,
+    p: int,
+    q: int,
+    trials: int,
+    seed: int,
+    budget: int | None = None,
+    anneal: bool = False,
+) -> Iterator[tuple[TrialResult, SplitState]]:
+    """Run `trials` trials, yielding each result row with its final split.
+
+    Trial t draws `random_split` at `trial_seed(seed, t)`, so the results
+    are independent of execution order and identical across platforms.
+    With a `budget`, each split is first repaired by `hill_climb` under the
+    same seed.  A trial is solved when `violations` finds nothing.
+    """
+    if trials < 1:
+        raise ValueError("trials >= 1 required")
+    spec = AlgebraSpec(p, q)
+    for t in range(trials):
+        ts = trial_seed(seed, t)
+        state = random_split(part, p, q, ts)
+        if budget is not None:
+            state, _trace = hill_climb(state, spec, budget, ts, anneal=anneal)
+        report = violations(state, spec)
+        yield TrialResult(t, ts, report.count, report.solved), state
+
+
 @dataclass(frozen=True)
 class MonteCarloResult:
     successes: int
     trials: int
     prediction: UnionBoundFailure | None  # None for the unsplit p = q = 1 case
     rows: tuple[TrialResult, ...]
+
+    @classmethod
+    def from_rows(
+        cls, part: LayerPartition, p: int, q: int, rows: Iterable[TrialResult]
+    ) -> "MonteCarloResult":
+        """Tally trial rows against the strict union bound at n = max(p, q),
+        the failure probability the split count is compared against."""
+        rows = tuple(rows)
+        prediction = union_bound_at(max(p, q), part.k)
+        return cls(sum(row.solved for row in rows), len(rows), prediction, rows)
 
     @property
     def rate(self) -> float:
@@ -525,27 +559,9 @@ SEARCH_CSV_HEADER = "trial,seed,violations,solved"
 def monte_carlo(
     part: LayerPartition, p: int, q: int, trials: int, seed: int
 ) -> MonteCarloResult:
-    """Estimate how often a uniform random split works outright.
-
-    Per-trial seeds come from `trial_seed`, so the result is independent
-    of execution order and identical across platforms.  The prediction
-    column is the strict union bound at n = max(p, q), the failure
-    probability the split count is compared against.
-    """
-    if trials < 1:
-        raise ValueError("trials >= 1 required")
-    spec = AlgebraSpec(p, q)
-    rows = []
-    successes = 0
-    for t in range(trials):
-        ts = trial_seed(seed, t)
-        report = violations(random_split(part, p, q, ts), spec)
-        solved = report.solved
-        successes += solved
-        rows.append(TrialResult(t, ts, report.count, solved))
-    n = max(p, q)
-    prediction = union_bound_failure(n, part.k) if n >= 2 else None
-    return MonteCarloResult(successes, trials, prediction, tuple(rows))
+    """Estimate how often a uniform random split works outright."""
+    rows = (row for row, _state in iter_trials(part, p, q, trials, seed))
+    return MonteCarloResult.from_rows(part, p, q, rows)
 
 
 def iter_trial_csv(result: MonteCarloResult) -> Iterator[str]:

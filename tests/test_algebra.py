@@ -27,6 +27,7 @@ from redblue.algebra import (
     union_bound_failure,
     upper_bound_cube,
 )
+from redblue.algebra import BoundRow, bound_row, union_bound_at
 
 specs = st.builds(
     AlgebraSpec, st.integers(min_value=1, max_value=3), st.integers(min_value=1, max_value=3)
@@ -241,3 +242,17 @@ def test_bound_csv_shape():
     assert lines[1] == "2,26,1024,10"
     assert lines[2] == "3,31,,"
     assert len(lines) == 5
+
+
+def test_bound_row_serves_table_and_single_n():
+    assert bound_table(16) == [bound_row(n, True) for n in range(2, 17)]
+    assert bound_table(5, sat_certified=False) == [bound_row(n, False) for n in range(2, 6)]
+    assert bound_row(1, True) == BoundRow(1, 7, False, None, None, "")
+    assert bound_row(2, True).lower == 26 and bound_row(2, False).lower == 17
+
+
+def test_union_bound_at_defaults_to_the_scan():
+    assert union_bound_at(1, None) is None
+    assert union_bound_at(2, None) == union_bound_failure(2, smallest_certifying_k(2))
+    assert union_bound_at(1, 3) is None
+    assert union_bound_at(2, 3) == union_bound_failure(2, 3)

@@ -206,6 +206,31 @@ def test_search_hill_saves_solved_split(capsys, tmp_path):
     assert code == 0 and "verdict: PASS" in out
 
 
+def test_search_random_saves_every_solved_split(capsys, tmp_path):
+    out_dir = tmp_path / "solved"
+    code, payload = run_json(
+        capsys, "search", "--k", "1", "--q", "1", "--trials", "3",
+        "--save-solved", str(out_dir),
+    )
+    assert code == 0 and payload["mode"] == "random" and payload["solved"] == 3
+    saved = payload["saved_splits"]
+    assert saved == [str(out_dir / f"solved-k1-p1q1-trial{t:05d}.txt") for t in range(3)]
+    for path in saved:
+        code, out = run(capsys, "check-rep", path)
+        assert code == 0 and "verdict: PASS" in out
+
+
+def test_search_saves_nothing_when_nothing_solves(capsys, tmp_path):
+    out_dir = tmp_path / "solved"
+    code, payload = run_json(
+        capsys, "search", "--k", "1", "--trials", "3", "--seed", "3",
+        "--save-solved", str(out_dir),
+    )
+    assert code == 0
+    assert payload["solved"] == 0 and payload["saved_splits"] == []
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -254,6 +279,24 @@ def test_check_rep_usage_errors(capsys, tmp_path):
     assert run(capsys, "check-rep", wrong_q, "--q", "3")[0] == 2
 
     assert run(capsys, "check-rep", str(tmp_path / "missing.txt"))[0] == 2
+
+
+@pytest.mark.parametrize(
+    "header",
+    [
+        "kn V=5",
+        "kn V=5 x=2",
+        "kn colors=2 x=5",
+        "kn V=five colors=2",
+        "cube m=3 x=2",
+        "cube colors=2 y=3",
+        "cube m=3",
+    ],
+)
+def test_check_rep_malformed_header_is_usage_error(capsys, tmp_path, header):
+    path = tmp_path / "bad.txt"
+    path.write_text(header + "\n")
+    assert run(capsys, "check-rep", str(path))[0] == 2
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,8 @@ from redblue.repcheck import (
     red_clique_floor,
     write_coloring,
 )
+from redblue.cube import parse_split
+from redblue.repcheck import coloring_header
 
 # the smallest one-blue representation found by exhaustive search: 8 points,
 # 12 blue edges, the rest red
@@ -339,3 +341,20 @@ def test_parse_coloring_errors():
         parse_coloring("kn V=3 colors=2\n0 1 r\n1 0 b\n", ALGEBRA_ONE_BLUE)
     with pytest.raises(ValueError):
         parse_coloring("kn V=3 colors=2\n0 1\n", ALGEBRA_ONE_BLUE)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "kn V=5\n",
+        "kn V=5 x=2\n",
+        "kn colors=2 x=5\n0 1 r\n",
+        "cube m=3 x=2\nr: 1\n",
+        "cube colors=2 y=3\n",
+        "cube m=3\n",
+    ],
+)
+def test_malformed_headers_raise_value_error(text):
+    parse = parse_split if text.startswith("cube") else coloring_header
+    with pytest.raises(ValueError):
+        parse(text)

@@ -36,6 +36,7 @@ from redblue.sat import (
 from redblue.sat import cdcl
 from redblue.sat.cdcl import Cdcl
 from redblue.sat.proof import check_rup
+from redblue.sat.dimacs import formula_from_dimacs
 
 
 def tiny_formula():
@@ -288,6 +289,17 @@ def test_dimacs_deterministic_and_round_trips():
     assert num_vars == f.num_vars
     assert clauses == list(f.clauses())
     assert a.splitlines()[0].startswith("c variant=basic V=12 t=3")
+
+
+def test_formula_from_dimacs_reads_own_metadata():
+    written = all_edges_formula(6, ALGEBRA_TWO_BLUE)
+    back = formula_from_dimacs(to_dimacs(written), "x.cnf")
+    assert (back.points, back.colors, back.variant) == (6, 3, "all-edges")
+    assert back.full_check and back.num_vars == written.num_vars
+    assert list(back.clauses()) == list(written.clauses())
+    assert back.comments == ("parsed from x.cnf",)
+    foreign = formula_from_dimacs("p cnf 2 1\n1 -2 0\n", "f.cnf")
+    assert (foreign.points, foreign.variant, foreign.full_check) == (0, "parsed", False)
 
 
 def test_dimacs_parse_errors():

@@ -25,6 +25,7 @@ from redblue.search import (
     violations,
     violations_naive,
 )
+from redblue.search import iter_trials
 
 TWO_BLUE = AlgebraSpec(1, 2)
 ONE_BLUE = AlgebraSpec(1, 1)
@@ -308,6 +309,24 @@ def test_monte_carlo_high_k_succeeds():
             f"empirical failure rate {1 - result.rate:.3f} above the bound "
             f"{bound.value:.3f}; statistical fluke or a counting bug"
         )
+
+
+def test_iter_trials_is_the_monte_carlo_loop(part2):
+    pairs = list(iter_trials(part2, 1, 2, 6, 3))
+    assert tuple(row for row, _ in pairs) == monte_carlo(part2, 1, 2, 6, 3).rows
+    for row, state in pairs:
+        assert state == random_split(part2, 1, 2, row.seed)
+
+
+@pytest.mark.parametrize("anneal", [False, True])
+def test_iter_trials_repairs_with_a_budget(part2, anneal):
+    spec = AlgebraSpec(1, 3)
+    for row, state in iter_trials(part2, 1, 3, 3, 5, 400, anneal):
+        start = random_split(part2, 1, 3, row.seed)
+        final, _trace = hill_climb(start, spec, 400, row.seed, anneal=anneal)
+        report = violations(final, spec)
+        assert state == final
+        assert (row.violations, row.solved) == (report.count, report.solved)
 
 
 def test_monte_carlo_rejects_zero_trials(part1):
