@@ -6,67 +6,3 @@ with one flexible red color and n blues.
 """
 
 __version__ = "0.1.0"
-
-from .algebra import (
-    ALGEBRA_ONE_BLUE,
-    ALGEBRA_TWO_BLUE,
-    AlgebraSpec,
-    ColorId,
-    NeedPair,
-    blue,
-    bound_table,
-    composition,
-    is_mandatory,
-    lower_bound_points,
-    needs_of,
-    needs_of_unordered,
-    red,
-    threshold_check,
-    union_bound_failure,
-    upper_bound_cube,
-)
-from .cube import (
-    CubeSubset,
-    GroupColoring,
-    LayerPartition,
-    embedded_split_1024,
-    layer_partition,
-    pair_counts,
-    pair_counts_naive,
-    parse_split,
-    sumset,
-    verify_group_representation,
-    witness_minima,
-    write_split,
-)
-
-__all__ = [
-    "ALGEBRA_ONE_BLUE",
-    "ALGEBRA_TWO_BLUE",
-    "AlgebraSpec",
-    "ColorId",
-    "CubeSubset",
-    "GroupColoring",
-    "LayerPartition",
-    "NeedPair",
-    "blue",
-    "bound_table",
-    "composition",
-    "embedded_split_1024",
-    "is_mandatory",
-    "layer_partition",
-    "lower_bound_points",
-    "needs_of",
-    "needs_of_unordered",
-    "pair_counts",
-    "pair_counts_naive",
-    "parse_split",
-    "red",
-    "sumset",
-    "threshold_check",
-    "union_bound_failure",
-    "upper_bound_cube",
-    "verify_group_representation",
-    "witness_minima",
-    "write_split",
-]

@@ -101,6 +101,21 @@ def parse_color_name(name: str) -> ColorId:
     raise ValueError(f"unrecognized color name {name!r}")
 
 
+def parse_header(text: str, kind: str, keys: tuple[str, ...]) -> tuple[int, ...]:
+    """The integer `keys` of the `<kind> key=value ...` first line of a file."""
+    lines = text.strip().splitlines()
+    if not lines:
+        raise ValueError(f"empty file; expected a {kind!r} header")
+    words = lines[0].split()
+    if len(words) != len(keys) + 1 or words[0] != kind:
+        raise ValueError(f"bad header {lines[0]!r}")
+    fields = dict(word.partition("=")[::2] for word in words[1:])
+    for key in keys:
+        if key not in fields:
+            raise ValueError(f"header {lines[0]!r} has no {key}=")
+    return tuple(int(fields[key]) for key in keys)
+
+
 @dataclass(frozen=True, slots=True)
 class AlgebraSpec:
     """The family member with p red (flexible) and q blue diversity colors.
@@ -334,9 +349,12 @@ def polynomial_regime_k(n: int) -> int:
     return math.ceil(3 * math.log2(n))
 
 
-def smallest_certifying_k(n: int, k_max: int = 64) -> int | None:
-    """Smallest k whose strict union bound drops below 1, or None up to k_max."""
-    for k in range(1, k_max + 1):
+CERTIFYING_K_MAX = 64
+
+
+def smallest_certifying_k(n: int) -> int | None:
+    """Smallest k <= CERTIFYING_K_MAX whose strict union bound is below 1, else None."""
+    for k in range(1, CERTIFYING_K_MAX + 1):
         if union_bound_failure(n, k).certifies_success:
             return k
     return None

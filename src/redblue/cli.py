@@ -605,11 +605,8 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         return v, outcome
 
     workers = max(1, min(args.threads, len(instances)))
-    if workers == 1:
-        outcomes = [run_one(item) for item in instances]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(run_one, instances))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        outcomes = list(pool.map(run_one, instances))
     outcomes.sort()
 
     # status CSV is the deterministic artifact; timings live in the logs

@@ -32,6 +32,7 @@ from .algebra import (
     format_color_name,
     is_mandatory,
     parse_color_name,
+    parse_header,
     red,
 )
 
@@ -438,7 +439,6 @@ class VerifyResult:
 def verify_group_representation(
     coloring: GroupColoring,
     spec: AlgebraSpec,
-    assignment: dict[ColorId, ColorId] | None = None,
     collect_all: bool = False,
 ) -> VerifyResult:
     """Check that a cube coloring realizes the algebra's composition law.
@@ -446,21 +446,13 @@ def verify_group_representation(
     For every ordered pair of diversity colors the sumset of their parts
     must contain 0 exactly when the colors coincide, cover the parts of
     every color their composition mandates, and avoid the parts of every
-    color it forbids.  `assignment` maps the algebra's colors to the
-    coloring's part keys (identity mapping by default).  The scan order is
-    deterministic (colors ranked reds-then-blues, elements ascending) and
-    stops at the first violation unless `collect_all` is set.
+    color it forbids.  The scan order is deterministic (colors ranked
+    reds-then-blues, elements ascending) and stops at the first violation
+    unless `collect_all` is set.
     """
     colors = spec.diversity_colors()
-    if assignment is None:
-        assignment = {c: c for c in colors}
-    if set(assignment) != set(colors):
-        raise ValueError("assignment must cover exactly the algebra's diversity colors")
-    assigned = [assignment[c] for c in colors]
-    if len(set(assigned)) != len(assigned):
-        raise ValueError("assignment must be injective")
-    if not set(coloring.parts) <= set(assigned):
-        raise ValueError("coloring has parts the assignment never uses")
+    if not set(coloring.parts) <= set(colors):
+        raise ValueError("coloring has parts that are not colors of the algebra")
 
     violations: list[Violation] = []
 
@@ -471,7 +463,7 @@ def verify_group_representation(
     empty = CubeSubset.empty(coloring.m)
     parts: dict[ColorId, CubeSubset] = {}
     for c in colors:
-        part = coloring.parts.get(assignment[c], empty)
+        part = coloring.parts.get(c, empty)
         parts[c] = part
         if not part:
             if note(
@@ -570,21 +562,6 @@ def write_split(coloring: GroupColoring) -> str:
         elems = " ".join(str(x) for x in coloring.parts[c].elements())
         lines.append(f"{format_color_name(c, single_red)}: {elems}")
     return "\n".join(lines) + "\n"
-
-
-def parse_header(text: str, kind: str, keys: tuple[str, ...]) -> tuple[int, ...]:
-    """The integer `keys` of the `<kind> key=value ...` first line of a file."""
-    lines = text.strip().splitlines()
-    if not lines:
-        raise ValueError(f"empty file; expected a {kind!r} header")
-    words = lines[0].split()
-    if len(words) != len(keys) + 1 or words[0] != kind:
-        raise ValueError(f"bad header {lines[0]!r}")
-    fields = dict(word.partition("=")[::2] for word in words[1:])
-    for key in keys:
-        if key not in fields:
-            raise ValueError(f"header {lines[0]!r} has no {key}=")
-    return tuple(int(fields[key]) for key in keys)
 
 
 def parse_split(text: str) -> GroupColoring:

@@ -13,10 +13,21 @@ forces large red cliques inside any representation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
-from .algebra import AlgebraSpec, ColorId, NeedPair, blue, is_mandatory, needs_of, red
-from .cube import GroupColoring, parse_header
+from .algebra import (
+    AlgebraSpec,
+    ColorId,
+    NeedPair,
+    blue,
+    is_mandatory,
+    needs_of,
+    parse_header,
+    red,
+)
+
+if TYPE_CHECKING:
+    from .cube import GroupColoring
 
 Edge = tuple[int, int]
 
@@ -97,7 +108,8 @@ class RepViolation:
     """A single defect of a total coloring.
 
     kind "forbidden-triangle" carries the offending vertex triple; kind
-    "missing-need" carries the edge and the unwitnessed need.
+    "missing-need" carries the edge and the unwitnessed need; kind
+    "missing-color" (a diversity color no edge has) carries only its message.
     """
 
     kind: str
@@ -123,8 +135,8 @@ def check_representation(c: EdgeColoring, spec: AlgebraSpec) -> RepCheckResult:
     """Brute-force check of a total coloring against the algebra.
 
     Reports every defect, sorted: forbidden triangles first (vertex-lex),
-    then missing needs (edge-lex, then need order).  Rejects partial
-    colorings.
+    then missing needs (edge-lex, then need order), then colors no edge
+    realizes (color order).  Rejects partial colorings.
     """
     if not c.is_total:
         raise ValueError("coloring must be total; precolorings cannot be checked")
@@ -166,7 +178,14 @@ def check_representation(c: EdgeColoring, spec: AlgebraSpec) -> RepCheckResult:
                     )
                 )
     missing.sort(key=lambda v: (v.edge, rank[v.need.first], rank[v.need.second]))
-    found = tuple(triangles + missing)
+    realized = set(c.colors.values())
+    unrealized = [
+        RepViolation("missing-color", None, None, None,
+                     f"no edge realizes color {spec.color_name(col)}")
+        for col in spec.diversity_colors()
+        if col not in realized
+    ]
+    found = tuple(triangles + missing + unrealized)
     return RepCheckResult(not found, found)
 
 

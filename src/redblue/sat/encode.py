@@ -187,7 +187,7 @@ def need_clauses(
     return ClauseGroup(tag, tuple(clauses))
 
 
-def triangle_clauses(vm: VarMap, spec: AlgebraSpec, tag: str = "triangle") -> ClauseGroup:
+def triangle_clauses(vm: VarMap, spec: AlgebraSpec) -> ClauseGroup:
     """No all-blue triangle: every triangle has some edge with some red color."""
     red_indices = [spec.color_index(c) for c in spec.diversity_colors() if c.is_red]
     clauses = tuple(
@@ -198,14 +198,11 @@ def triangle_clauses(vm: VarMap, spec: AlgebraSpec, tag: str = "triangle") -> Cl
         )
         for i, j, k in combinations(range(vm.V), 3)
     )
-    return ClauseGroup(tag, clauses)
+    return ClauseGroup("triangle", clauses)
 
 
 def free_edge_clauses(
-    vm: VarMap,
-    edges: list[tuple[int, int]],
-    spec: AlgebraSpec,
-    tag: str = "free-needs",
+    vm: VarMap, edges: list[tuple[int, int]], spec: AlgebraSpec
 ) -> ClauseGroup:
     """Needs of edges whose color is the solver's choice.
 
@@ -235,7 +232,7 @@ def free_edge_clauses(
             clauses.append(tuple([s, -edge_lit] + [-d for d in need_vars]))
             selectors.append(s)
         clauses.append(tuple(selectors))
-    return ClauseGroup(tag, tuple(clauses))
+    return ClauseGroup("free-needs", tuple(clauses))
 
 
 VARIANTS = ("basic", "triangles", "full")

@@ -266,6 +266,25 @@ def test_check_rep_rejects_seven_cycle(capsys, tmp_path):
     assert len(payload["violations"]) == 7
 
 
+def test_check_rep_rejects_one_point_file(capsys, tmp_path):
+    path = tmp_path / "one-point.txt"
+    path.write_text("kn V=1 colors=2\n")
+    code, payload = run_json(capsys, "check-rep", str(path))
+    assert code == 1
+    assert payload["ok"] is False
+    assert payload["violations"] == [
+        "[missing-color] no edge realizes color r",
+        "[missing-color] no edge realizes color b1",
+    ]
+
+
+def test_check_rep_cube_part_outside_algebra_is_usage_error(capsys, tmp_path):
+    # a second red part cannot belong to the one-red algebra the header implies
+    path = tmp_path / "foreign.txt"
+    path.write_text("cube m=2 colors=2\nr2: 1 2\nb1: 3\n")
+    assert run(capsys, "check-rep", str(path))[0] == 2
+
+
 def test_check_rep_usage_errors(capsys, tmp_path):
     partial = tmp_path / "partial.txt"
     partial.write_text("kn V=4 colors=2\n0 1 r\n")

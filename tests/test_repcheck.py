@@ -152,6 +152,20 @@ def test_check_rejects_partial_and_foreign_colors():
         check_representation(c, ALGEBRA_ONE_BLUE)
 
 
+def test_check_reports_unrealized_colors_last():
+    # one point has no edges, so it realizes none of the diversity colors
+    result = check_representation(EdgeColoring(1), ALGEBRA_TWO_BLUE)
+    assert not result.ok
+    assert [str(v) for v in result.violations] == [
+        "[missing-color] no edge realizes color r",
+        "[missing-color] no edge realizes color b1",
+        "[missing-color] no edge realizes color b2",
+    ]
+    all_blue = complete_coloring(3, [(0, 1), (0, 2), (1, 2)])
+    kinds = [v.kind for v in check_representation(all_blue, ALGEBRA_ONE_BLUE).violations]
+    assert kinds == ["forbidden-triangle"] + ["missing-need"] * 9 + ["missing-color"]
+
+
 @given(st.integers(min_value=5, max_value=9))
 def test_cycle_chords_need_blue_pairs(V):
     # in any cycle coloring every red chord at distance >= 3 misses (b, b)

@@ -1,7 +1,9 @@
 """CNF encodings, DIMACS plumbing, and solver drivers."""
 
 import itertools
+import os
 import random
+import subprocess
 import sys
 from pathlib import Path
 
@@ -629,3 +631,14 @@ def test_cdcl_launcher_through_bridge():
     assert check_representation(outcome.coloring, ALGEBRA_ONE_BLUE).ok
     outcome = solve(all_edges_formula(7, ALGEBRA_ONE_BLUE), solver=str(CDCL_LAUNCHER))
     assert outcome.status == UNSAT
+
+
+def test_sat_modules_import_without_numpy():
+    # every solve launches the solver afresh; numpy would double its start-up
+    src = Path(redblue.__file__).resolve().parent.parent
+    probe = (
+        "import sys, redblue.sat, redblue.sat.cdcl, redblue.repcheck; "
+        "sys.exit('numpy' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
