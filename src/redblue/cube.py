@@ -235,21 +235,24 @@ def pair_counts_naive(x: CubeSubset, y: CubeSubset) -> np.ndarray:
 def walsh_hadamard(vec: np.ndarray) -> np.ndarray:
     """Walsh-Hadamard transform of an int64 vector, input left untouched.
 
-    Unnormalized: applying it twice multiplies by the length.
+    Unnormalized: applying it twice multiplies by the length.  Each stage
+    is the constant-geometry butterfly (Pease, J. ACM 1968): sums of the
+    even/odd neighbours fill the low half of the other buffer and their
+    differences the high half.  That applies H_2 to the lowest index bit
+    and rotates the bits right by one, so after log2(n) stages every bit is
+    done and back in place, with two whole-array operations per stage.
     """
     n = vec.shape[0]
     if n & (n - 1):
         raise ValueError("length must be a power of two")
-    vec = vec.copy()  # the butterfly below writes through reshape views
-    h = 1
-    while h < n:
-        blocks = vec.reshape(-1, 2, h)
-        top = blocks[:, 0, :] + blocks[:, 1, :]
-        bottom = blocks[:, 0, :] - blocks[:, 1, :]
-        blocks[:, 0, :] = top
-        blocks[:, 1, :] = bottom
-        h <<= 1
-    return vec
+    x = vec.copy()
+    y = np.empty_like(x)
+    h = n >> 1
+    for _ in range(n.bit_length() - 1):
+        np.add(x[0::2], x[1::2], out=y[:h])
+        np.subtract(x[0::2], x[1::2], out=y[h:])
+        x, y = y, x
+    return x
 
 
 def pair_counts(x: CubeSubset, y: CubeSubset) -> np.ndarray:

@@ -332,81 +332,129 @@ def violations_naive(s: SplitState, spec: AlgebraSpec) -> ViolationReport:
 class _ClimbEngine:
     """Incremental violation bookkeeping for single-element moves.
 
-    Maintains a writable copy of the split's labels, per-color indicators
-    and all ordered pair-count vectors; moving one element updates each
-    affected count vector with one gather instead of a fresh transform.
-    Violations are read through the same rule masks as `violations`, so
-    only the count arithmetic is incremental.
+    Works on int8 color codes (`AlgebraSpec.color_index`).  Keeps a
+    writable copy of the split's labels, each color's elements, one count
+    row per unordered pair of colors (a pair and its mirror share it), and
+    a tally per position of the rules it breaks, in three rows by the
+    layers of the rule's pair: RR, RB and BB.  Moving e into or out of
+    color c changes row {c, d} only at e XOR D, for each color d with
+    elements D; only the positions where such a count crosses zero are
+    re-judged, by a `need[target, row]` table built from `_rules`, and e
+    itself is re-scored under its new label.  `violation_count` is the
+    running total plus one per empty part, and `move_pool` XOR-convolves
+    the tallies with the layer indicators, a few transforms per call
+    however many violations there are.
     """
 
     def __init__(self, state: SplitState, spec: AlgebraSpec):
         self.base = state.base
         self.p, self.q = state.p, state.q
-        self.n = 1 << state.base.m
-        self.index = np.arange(self.n)  # XOR-ed with an element to translate by it
+        self.spec = spec
         self.colors = spec.diversity_colors()
+        size = len(self.colors)
         self.labels = state.labels.copy()
-        ind, self.counts = _counts(state, spec, naive=False)
-        # int64, so that a move's gathers add into the counts without a cast
-        self.ind = {c: at.astype(np.int64) for c, at in ind.items()}
-        self.rules = _rules(spec)
-        # which colors an element may take, by layer
-        self.red_colors = self.colors[: self.p]
-        self.blue_colors = self.colors[self.p :]
-        self.layer_ind = {"R": (self.labels >= 0) & (self.labels < self.p),
-                          "B": self.labels >= self.p}
+        self.members = [np.flatnonzero(self.labels == code) for code in range(size)]
+        pairs = [(a, b) for a in range(size) for b in range(a, size)]
+        self.row = np.zeros((size, size), dtype=np.intp)  # ordered pair -> its row
+        for u, (a, b) in enumerate(pairs):
+            self.row[a, b] = self.row[b, a] = u
+        # blue colors in each row's pair: 0 RR, 1 RB, 2 BB
+        self.group = np.array([(a >= self.p) + (b >= self.p) for a, b in pairs])
+        self.need = np.zeros((size, len(pairs)), dtype=bool)
+        for t, (_target, needed, _banned) in enumerate(_rules(spec)):
+            for pair in needed:
+                self.need[t, self.row[spec.color_index(pair.first),
+                                      spec.color_index(pair.second)]] = True
+        ordered = np.array([1 if a == b else 2 for a, b in pairs])  # ordered pairs per row
+        self.weights = np.stack([np.where(self.group == g, ordered, 0) for g in range(3)])
+        # tally change at a position, by its label, when its count in a row
+        # leaves zero; the last column, picked by label -1, is zero
+        self.leave_zero = np.zeros((len(pairs), size + 1), dtype=np.int64)
+        self.leave_zero[:, :size] = (ordered * np.where(self.need, -1, 1)).T
+        _ind, counts = _counts(state, spec, naive=False)
+        self.counts = np.stack([counts[(self.colors[a], self.colors[b])] for a, b in pairs])
+        self.tally = np.zeros((3, 1 << state.base.m), dtype=np.int64)
+        labeled = np.flatnonzero(self.labels >= 0)
+        self.tally[:, labeled] = self._score(labeled)
+        self.total = int(self.tally.sum())
+        self.layers = (self.labels >= 0) & (self.labels < self.p), self.labels >= self.p
+        self.layer_hat = tuple(walsh_hadamard(at.astype(np.int64)) for at in self.layers)
+
+    def _score(self, at: int | np.ndarray) -> np.ndarray:
+        """Rules broken at labeled position(s) `at`, per layer group."""
+        broken = (self.counts[:, at] == 0) == self.need[self.labels[at]].T
+        return self.weights @ broken
+
+    def _shift(self, code: int, e: int, sign: int) -> None:
+        """Count element e in (+1) or out of (-1) color `code`; e is
+        unlabeled meanwhile and in no member list."""
+        for d, xs in enumerate(self.members):
+            u = self.row[code, d]
+            z = xs ^ e
+            counts = self.counts[u]
+            before = counts[z]
+            after = before + (2 * sign if d == code else sign)  # (e, x) and (x, e)
+            counts[z] = after
+            crossed = z[(before if sign > 0 else after) == 0]
+            if crossed.size:
+                delta = self.leave_zero[u, self.labels[crossed]]
+                if sign < 0:
+                    delta = -delta
+                self.tally[self.group[u], crossed] += delta
+                self.total += int(delta.sum())
+        self.counts[self.row[code, code], 0] += sign  # the pair (e, e)
 
     def remove(self, c: ColorId, e: int) -> None:
-        idx = self.index ^ e
-        for d in self.colors:
-            if d != c:
-                self.counts[(c, d)] -= self.ind[d][idx]  # also the mirror (d, c)
-        self.counts[(c, c)] -= self.ind[c][idx]  # pairs (e, x), x incl. e
-        self.ind[c][e] = 0
+        code = self.spec.color_index(c)
+        self.total -= int(self.tally[:, e].sum())
+        self.tally[:, e] = 0
         self.labels[e] = -1
-        self.counts[(c, c)] -= self.ind[c][idx]  # pairs (x, e), x != e
+        xs = self.members[code]
+        self.members[code] = xs[xs != e]
+        self._shift(code, e, -1)
 
     def add(self, c: ColorId, e: int) -> None:
-        idx = self.index ^ e
-        self.counts[(c, c)] += self.ind[c][idx]  # pairs (x, e), x != e
-        self.ind[c][e] = 1
-        self.labels[e] = self.colors.index(c)
-        self.counts[(c, c)] += self.ind[c][idx]  # pairs (e, x), x incl. e
-        for d in self.colors:
-            if d != c:
-                self.counts[(c, d)] += self.ind[d][idx]
+        code = self.spec.color_index(c)
+        self._shift(code, e, +1)
+        self.labels[e] = code
+        self.members[code] = np.append(self.members[code], e)
+        self.tally[:, e] = self._score(e)
+        self.total += int(self.tally[:, e].sum())
 
     def violation_count(self) -> int:
-        return sum(
-            1 if mask is None else int(np.count_nonzero(mask))
-            for _, _, _, mask in _rule_masks(self.rules, self.ind, self.counts)
-        )
+        return self.total + sum(xs.size == 0 for xs in self.members)
 
     def unsatisfied_items(self) -> list[tuple[int, NeedPair]]:
+        ind = {c: self.labels == code for code, c in enumerate(self.colors)}
+        counts = {
+            (c1, c2): self.counts[self.row[a, b]]
+            for a, c1 in enumerate(self.colors)
+            for b, c2 in enumerate(self.colors)
+        }
         return [
             (int(z), pair)
-            for _, pair, _, mask in _rule_masks(self.rules, self.ind, self.counts)
+            for _, pair, _, mask in _rule_masks(_rules(self.spec), ind, counts)
             if mask is not None
             for z in np.flatnonzero(mask)
         ]
 
     def move_pool(self) -> np.ndarray:
-        """Elements implicated in some violation and free to change part."""
-        pool = np.zeros(self.n, dtype=bool)
-        movable = np.zeros(self.n, dtype=bool)
-        if self.p > 1:
-            movable |= self.layer_ind["R"]
-        if self.q > 1:
-            movable |= self.layer_ind["B"]
-        for z, pair in self.unsatisfied_items():
-            pool[z] = True
-            la = self.layer_ind["R"] if pair.first.is_red else self.layer_ind["B"]
-            lb = self.layer_ind["R"] if pair.second.is_red else self.layer_ind["B"]
-            idx = self.index ^ z
-            pool |= la & lb[idx]
-            pool |= lb & la[idx]
-        pool &= movable
-        pool[0] = False
+        """Elements implicated in some violation and free to change part.
+
+        x is implicated when it breaks a rule itself, or when a rule on a
+        pair of colors is broken at z and x, x XOR z lie in the layers of
+        those colors.  For x in layer A that is a nonzero XOR convolution
+        of tally row A + L with layer L's indicator, for L = R or B, so one
+        inverse transform per movable layer finds them all.
+        """
+        movable = [at for at, parts in enumerate((self.p, self.q)) if parts > 1]
+        rows = {at + layer for at in movable for layer in (0, 1)}
+        hat = {g: walsh_hadamard(self.tally[g]) for g in rows}
+        broken = self.tally.any(axis=0)
+        pool = np.zeros_like(broken)
+        for at in movable:
+            reach = walsh_hadamard(hat[at] * self.layer_hat[0] + hat[at + 1] * self.layer_hat[1])
+            pool |= self.layers[at] & (broken | (reach != 0))
         return pool
 
     def color_of(self, e: int) -> ColorId:
@@ -416,7 +464,7 @@ class _ClimbEngine:
         return self.colors[code]
 
     def options_for(self, e: int) -> tuple[ColorId, ...]:
-        return self.red_colors if self.layer_ind["R"][e] else self.blue_colors
+        return self.colors[: self.p] if self.layers[0][e] else self.colors[self.p :]
 
     def to_state(self, seed: int) -> SplitState:
         return SplitState(self.base, self.p, self.q, seed, labels=self.labels)
@@ -482,6 +530,7 @@ def hill_climb(
         if anneal:
             temp *= COOLING
     final = engine.to_state(s.seed)
+    del engine  # its count rows are not needed by the naive recount below
     if count == 0:
         report = violations_naive(final, spec)
         if not report.solved:

@@ -355,3 +355,31 @@ def test_parse_split_rejects_garbage():
         parse_split("kn V=3 colors=2\n0 1 r\n")
     with pytest.raises(ValueError):
         parse_split("cube m=2 colors=2\nr: 1 2 3\n")  # missing color line
+
+
+# ---------------------------------------------------------------------------
+# the Walsh-Hadamard butterfly
+# ---------------------------------------------------------------------------
+
+
+def test_walsh_hadamard_matches_sylvester_matrix():
+    rng = np.random.default_rng(5)
+    sylvester = np.ones((1, 1), dtype=np.int64)
+    for m in range(9):
+        vec = rng.integers(-1000, 1000, size=1 << m).astype(np.int64)
+        before = vec.copy()
+        assert np.array_equal(walsh_hadamard(vec), sylvester @ vec), m
+        assert np.array_equal(vec, before), m  # the input is left untouched
+        sylvester = np.block([[sylvester, sylvester], [sylvester, -sylvester]])
+
+
+@pytest.mark.parametrize("length", [3, 6, 12, 1000])
+def test_walsh_hadamard_rejects_other_lengths(length):
+    with pytest.raises(ValueError):
+        walsh_hadamard(np.zeros(length, dtype=np.int64))
+
+
+def test_walsh_hadamard_twice_scales_at_m16():
+    m = 16
+    vec = np.random.default_rng(8).integers(0, 1 << 20, size=1 << m, endpoint=True)
+    assert np.array_equal(walsh_hadamard(walsh_hadamard(vec)), vec << m)

@@ -1,10 +1,12 @@
 """Deterministic splitting, violation counting, and local-search repair."""
 
+import hashlib
+import random
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from redblue.algebra import AlgebraSpec, blue, red, union_bound_failure
 from redblue.cube import CubeSubset, LayerPartition
@@ -391,3 +393,111 @@ def test_violations_agree_with_sumset_verifier(shape, part2, part3):
         verdicts.add(solved)
     # both verdicts are exercised; every (1, 3) state tried here is rejected
     assert verdicts == ({False} if shape == (1, 3) else {True, False})
+
+
+# ---------------------------------------------------------------------------
+# frozen climbs at k = 3 and the incremental tallies
+# ---------------------------------------------------------------------------
+
+# (p, q, anneal, trial), accepted moves, last trace entry, sha256 of the
+# trace as "move,count;..." text, sha256 of the final int8 labels; budget
+# 3,000 at trial_seed(5, trial).  Recorded before the climb engine kept
+# per-position tallies, and they pin its trajectories at m = 10.
+FROZEN_K3_CLIMBS = [
+    ((1, 3, False, 0), 120, (2843, 359),
+     "da26ff6e70d3f6d0c0e13bfc5d8ff1573490a3c1def6959cdac9fc6369cf803a",
+     "3656a0444f50d4cd0ae431e804b5225854ce150a07b10c4e4c2fb40eeb40687a"),
+    ((1, 3, False, 1), 136, (2877, 366),
+     "bbeb0fbb14a81e33bd7dcd61fe9fcbbd1be7cee0994931e16d8a3b0cb51f68e7",
+     "57f39e11d080af3e06c400a930e10adc1d71c5105e9bc88d7830de4c800cab36"),
+    ((2, 2, True, 0), 987, (1813, 0),
+     "5b3ebf5b59c35ae715532b1e846ace92295d13feac91f2f5cbd9315aa5a18002",
+     "096c33e266d4cc1102247f69e812014d2e3296259dc834e5525d0bf62182bd52"),
+    ((2, 2, True, 1), 1314, (2564, 0),
+     "e54d98776b21ef1a52965e92ce0e419bad4d7e6fcd519384300c01765de98890",
+     "7c8897f7e1fe5cf003e263528292bb1bd07cd6dfde0f92f3a7280ccdcbb43c87"),
+    ((3, 2, False, 0), 135, (365, 0),
+     "92493bbc062c7c290f506a3a7042e75e495f90cf61b97b1a0acfdcef8d9899c3",
+     "5171d80c3dfe57eb2d5fbf9a7ea1eeece578bfd65a3394121ab5666121c995c9"),
+    ((3, 2, False, 1), 90, (262, 0),
+     "cd5f5268bce148e0aa7f0f87645ea9082fe8b05609a24e43d1cb337f63188acc",
+     "c71013755dad1f265998ed2c9f0b7f6d4021a1aef3aeee276c2457ebbda881e1"),
+]
+
+
+def test_hill_climb_frozen_k3(part3):
+    for (p, q, anneal, trial), accepted, last, trace_sha, labels_sha in FROZEN_K3_CLIMBS:
+        ts = trial_seed(5, trial)
+        state = random_split(part3, p, q, ts)
+        final, trace = hill_climb(state, AlgebraSpec(p, q), 3000, ts, anneal=anneal)
+        text = ";".join(f"{move},{count}" for move, count in trace)
+        assert (len(trace), trace[-1]) == (accepted, last), (p, q, trial)
+        assert hashlib.sha256(text.encode()).hexdigest() == trace_sha, (p, q, trial)
+        assert hashlib.sha256(final.labels.tobytes()).hexdigest() == labels_sha, (p, q, trial)
+
+
+def _reference_move_pool(part: LayerPartition, p: int, q: int, items) -> np.ndarray:
+    """The climb's move pool as it was first written: one pass per
+    violating (element, pair) item over the whole cube."""
+    n = 1 << part.m
+    index = np.arange(n)
+    layer_ind = {"R": part.R.indicator().astype(bool), "B": part.B.indicator().astype(bool)}
+    pool = np.zeros(n, dtype=bool)
+    movable = np.zeros(n, dtype=bool)
+    if p > 1:
+        movable |= layer_ind["R"]
+    if q > 1:
+        movable |= layer_ind["B"]
+    for z, pair in items:
+        pool[z] = True
+        la = layer_ind["R"] if pair.first.is_red else layer_ind["B"]
+        lb = layer_ind["R"] if pair.second.is_red else layer_ind["B"]
+        idx = index ^ z
+        pool |= la & lb[idx]
+        pool |= lb & la[idx]
+    pool &= movable
+    pool[0] = False
+    return pool
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([(1, 2), (1, 3), (2, 2), (3, 2)]),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_engine_tallies_match_fresh_recount(shape, k, seed):
+    p, q = shape
+    spec = AlgebraSpec(p, q)
+    part = layer_partition(k)
+    rng = random.Random(seed)
+    # shrink the last blue part to one element, so that moving it empties it
+    labels = random_split(part, p, q, seed).labels.copy()
+    blues = np.flatnonzero(labels >= p)
+    labels[labels == p + q - 1] = p
+    lone = int(blues[rng.randrange(blues.size)])
+    labels[lone] = p + q - 1
+    engine = _ClimbEngine(SplitState(part, p, q, seed, labels=labels), spec)
+
+    def check():
+        fresh = violations(engine.to_state(0), spec)
+        assert engine.violation_count() == fresh.count
+        reference = _reference_move_pool(part, p, q, fresh.unsatisfied + fresh.forbidden)
+        assert np.array_equal(engine.move_pool(), reference)
+
+    def move(e, new):
+        engine.remove(engine.color_of(e), e)
+        engine.add(new, e)
+        check()
+
+    check()
+    move(lone, spec.color_at(p))  # empties the last blue part
+    assert spec.color_at(p + q - 1) in violations(engine.to_state(0), spec).empty_parts
+    movable = np.flatnonzero(labels >= (0 if p > 1 else p))  # p = 1 pins the red layer
+    for _ in range(8):
+        e = int(movable[rng.randrange(movable.size)])
+        old = engine.color_of(e)
+        options = [c for c in engine.options_for(e) if c != old]
+        move(e, options[rng.randrange(len(options))])
+        if rng.random() < 0.5:  # rejected: undo it
+            move(e, old)
