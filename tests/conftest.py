@@ -60,3 +60,13 @@ def part2() -> LayerPartition:
 @pytest.fixture(scope="session")
 def part3() -> LayerPartition:
     return layer_partition(3)
+
+
+@pytest.fixture(scope="session")
+def part4() -> LayerPartition:
+    return layer_partition(4)
+
+
+@pytest.fixture(scope="session")
+def part5() -> LayerPartition:
+    return layer_partition(5)

@@ -1,5 +1,7 @@
 """Bitmask subsets, exact pair counting, layer partitions, and verification."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -109,6 +111,45 @@ def test_sumset_monotone(a, b):
     sa, sb = CubeSubset.from_elements(m, xs), CubeSubset.from_elements(m, ys)
     grown = sumset(sa | sb, sb)
     assert sumset(sa, sb).issubset(grown)
+
+
+@st.composite
+def dense_operands(draw, kind):
+    m = draw(st.integers(min_value=2, max_value=7))
+    n = 1 << m
+    group = set(range(n))
+    holes = st.sets(st.integers(min_value=0, max_value=n - 1), max_size=n // 4)
+    if kind == "intersect":
+        # each misses at most a quarter of G, so any |holes| + 1 elements of
+        # the smaller operand already give G: the walk stops before its end
+        return m, group - draw(holes), group - draw(holes)
+    if kind == "disjoint":
+        # a set A of odd size has no nonzero period, so (G - A) + A = G - {0}
+        a = draw(holes.filter(lambda s: len(s) % 2))
+        return m, group - a, a
+    # both inside the subgroup of elements below 2^(m-1): never saturates
+    half = st.sets(st.integers(min_value=0, max_value=n // 2 - 1), min_size=1)
+    return m, set(range(n // 2)) - draw(holes), draw(half)
+
+
+@pytest.mark.parametrize("kind", ["intersect", "disjoint", "subgroup"])
+@given(data=st.data())
+def test_sumset_saturation_stop(kind, data):
+    m, xs, ys = data.draw(dense_operands(kind))
+    sa, sb = CubeSubset.from_elements(m, xs), CubeSubset.from_elements(m, ys)
+    walked = min(len(xs), len(ys))
+    with mock.patch.object(cube, "_xor_translate", wraps=cube._xor_translate) as spy:
+        got = sumset(sa, sb)
+    assert set(got.elements()) == brute_sumset(m, xs, ys)
+    assert got == support(pair_counts_naive(sa, sb), m)
+    everything = CubeSubset.full(m)
+    if kind == "intersect":
+        assert got == everything and spy.call_count < walked
+    elif kind == "disjoint":
+        assert got == everything.without_zero() and spy.call_count <= walked
+    else:
+        assert got.issubset(CubeSubset.from_elements(m, range(1 << (m - 1))))
+        assert spy.call_count == walked
 
 
 @given(subsets, subsets)

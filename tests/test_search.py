@@ -364,16 +364,15 @@ def _refined_embedded(p, q, seed):
     return SplitState(base.base, p, q, seed, red_assign, blue_assign)
 
 
-def _red_moved_to_blue(seed):
-    # the solved 1024-point split with one red element recolored b2; the
-    # blue layer is then no longer sum-free, so b1+b1 hits a blue element
-    base = embedded_split_state()
+def _red_moved_to_blue(base, seed, part):
+    # a solved (1, 2) split with one red element recolored blue `part`; the
+    # blue layer is then no longer sum-free, so an all-blue sum hits blue
     reds = sorted(base.red_assign)
     x = reds[part_index(seed, 0, len(reds))]
     point = CubeSubset.from_elements(base.base.m, [x])
     layers = LayerPartition(base.base.k, base.base.R - point, base.base.B | point)
     red_assign = {e: i for e, i in base.red_assign.items() if e != x}
-    blue_assign = {**base.blue_assign, x: 1}
+    blue_assign = {**base.blue_assign, x: part}
     return SplitState(layers, 1, 2, seed, red_assign, blue_assign)
 
 
@@ -385,7 +384,7 @@ def test_violations_agree_with_sumset_verifier(shape, part2, part3):
     states += [_refined_embedded(p, q, seed) for seed in range(20)]
     if shape == (1, 2):
         states.append(embedded_split_state())
-        states += [_red_moved_to_blue(seed) for seed in range(20)]
+        states += [_red_moved_to_blue(embedded_split_state(), seed, 1) for seed in range(20)]
     verdicts = set()
     for state in states:
         solved = violations(state, spec).solved
@@ -393,6 +392,35 @@ def test_violations_agree_with_sumset_verifier(shape, part2, part3):
         verdicts.add(solved)
     # both verdicts are exercised; every (1, 3) state tried here is rejected
     assert verdicts == ({False} if shape == (1, 3) else {True, False})
+
+
+@pytest.mark.parametrize("shape", [(1, 2), (1, 3)])
+def test_violations_agree_with_sumset_verifier_k4(shape, part4):
+    # random (1, 3) splits at k = 4 all fail, so a repaired one is added
+    spec = AlgebraSpec(*shape)
+    states = [random_split(part4, *shape, seed) for seed in range(4)]
+    states.append(hill_climb(states[0], spec, 100_000, 0)[0])
+    verdicts = set()
+    for state in states:
+        solved = violations(state, spec).solved
+        assert solved == _sumset_accepts(state, spec), (shape, state.seed)
+        verdicts.add(solved)
+    assert verdicts == {True, False}
+
+
+def test_sumset_verifier_at_k5(part5):
+    # the first solved 65,536-point (1, 2) split, and a copy with one red
+    # element moved into b1, which both routes must reject
+    solved = next(
+        state
+        for state in (random_split(part5, 1, 2, seed) for seed in range(32))
+        if violations(state, TWO_BLUE).solved
+    )
+    assert verify_group_representation(solved.to_coloring(), TWO_BLUE).ok
+    moved = _red_moved_to_blue(solved, 0, 0)
+    assert not violations(moved, TWO_BLUE).solved
+    result = verify_group_representation(moved.to_coloring(), TWO_BLUE, collect_all=True)
+    assert not result.ok and result.violations
 
 
 # ---------------------------------------------------------------------------
