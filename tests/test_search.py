@@ -6,10 +6,10 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from redblue.algebra import AlgebraSpec, blue, red, union_bound_failure
-from redblue.cube import CubeSubset, LayerPartition
+from redblue.algebra import AlgebraSpec, NeedPair, blue, is_mandatory, red, union_bound_failure
+from redblue.cube import CubeSubset, LayerPartition, pair_counts_naive
 from redblue.cube import layer_partition, verify_group_representation
 from redblue.search import (
     SEARCH_CSV_HEADER,
@@ -110,6 +110,59 @@ def test_violations_match_naive_path(part2):
         assert fast.unsatisfied == slow.unsatisfied
         assert fast.forbidden == slow.forbidden
         assert fast.empty_parts == slow.empty_parts
+
+
+def _reference_report(state, spec):
+    """The whole report straight from the definitions: per labeled element
+    in ascending order and ordered color pair in rank order, read
+    `is_mandatory` and the directly enumerated pair count."""
+    colors = spec.diversity_colors()
+    parts = {c: CubeSubset.from_indicator(state.base.m, state.labels == code)
+             for code, c in enumerate(colors)}
+    counts = {(c1, c2): pair_counts_naive(parts[c1], parts[c2])
+              for c1 in colors for c2 in colors}
+    unsatisfied, forbidden = [], []
+    for z in np.flatnonzero(state.labels >= 0).tolist():
+        target = colors[state.labels[z]]
+        for c1 in colors:
+            for c2 in colors:
+                witnessed = counts[(c1, c2)][z] > 0
+                if is_mandatory(spec, c1, c2, target) and not witnessed:
+                    unsatisfied.append((z, NeedPair(c1, c2)))
+                elif not is_mandatory(spec, c1, c2, target) and witnessed:
+                    forbidden.append((z, NeedPair(c1, c2)))
+    empty = tuple(c for c in colors if not parts[c])
+    return tuple(unsatisfied), tuple(forbidden), empty
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([(1, 2), (2, 2), (1, 3), (3, 2)]),
+    st.integers(min_value=1, max_value=2),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.booleans(),
+    st.booleans(),
+)
+@example((2, 2), 2, 5, True, False)
+@example((1, 2), 2, 7, False, True)
+def test_report_matches_reference(shape, k, seed, emptied, moved):
+    p, q = shape
+    spec = AlgebraSpec(p, q)
+    base = layer_partition(k)
+    labels = random_split(base, p, q, seed).labels.copy()
+    if emptied:  # fold the last blue part into the first
+        labels[labels == p + q - 1] = p
+    if moved:  # recolor one red element blue: all-blue sums then hit blue
+        x = sorted(base.R.elements())[part_index(seed, 0, len(base.R))]
+        point = CubeSubset.from_elements(base.m, [x])
+        base = LayerPartition(k, base.R - point, base.B | point)
+        labels[x] = p
+    state = SplitState(base, p, q, seed, labels=labels)
+    expected = _reference_report(state, spec)
+    assert bool(expected[1]) == moved  # the blue layer is sum-free until then
+    assert not emptied or spec.color_at(p + q - 1) in expected[2]
+    for report in (violations(state, spec), violations_naive(state, spec)):
+        assert (report.unsatisfied, report.forbidden, report.empty_parts) == expected
 
 
 def test_empty_part_is_a_violation(part2):
