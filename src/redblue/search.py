@@ -8,9 +8,11 @@ hash, one uint64 numpy pass over all 2^m elements, so results are
 bit-identical across platforms (see `random_split`).  The violation counter
 uses the transform route from the cube module; the naive route doubles as
 an independent oracle, and any split the hill climber claims to have solved
-is re-verified against it before being reported.  Both routes and the
-climber judge the counts by one rule table (`_rules`).  `iter_trials` is
-the one trial loop, with or without repair; `monte_carlo` tallies it.
+is re-verified against it before being reported.  The two routes differ
+only in how they count (`_counts`); both, and the climber, judge the counts
+by one cached table per spec (`_rule_table`) and one comparison with it
+(`_broken`).  `iter_trials` is the one trial loop, with or without
+repair; `monte_carlo` tallies it.
 """
 
 from __future__ import annotations
@@ -213,7 +215,8 @@ class ViolationReport:
     `unsatisfied` lists (element, need) pairs with no witness; `forbidden`
     lists blue elements covered by an all-blue sumset; `empty_parts` lists
     colors realized by no element.  Entry order is deterministic: element
-    ascending, then need pairs in color-rank order.
+    ascending, then ordered pairs in color-rank order (first color major),
+    and colors in rank order.
     """
 
     unsatisfied: tuple[tuple[int, NeedPair], ...]
@@ -229,89 +232,97 @@ class ViolationReport:
         return self.count == 0
 
 
-_Rules = tuple[tuple[ColorId, tuple[NeedPair, ...], tuple[NeedPair, ...]], ...]
+class _RuleTable(NamedTuple):
+    """The rules of a spec over color codes (`AlgebraSpec.color_index`).
+
+    Counts are kept per unordered pair of codes, one row each: XOR
+    convolution commutes, so a pair and its mirror share a row, and a
+    rule on the row stands for both ordered pairs of its colors.
+    """
+
+    unordered: tuple[tuple[int, int], ...]  # (a, b) with a <= b, by row
+    row: np.ndarray  # [a, b] -> the row of {a, b}
+    need: np.ndarray  # [target, row]: True needs a witness, False bans one
+    group: np.ndarray  # blue codes in each row's pair: 0 RR, 1 RB, 2 BB
+    weights: np.ndarray  # [group, row]: ordered pairs per row, in its group
+    leave_zero: np.ndarray  # [row, label]: tally change when a count leaves 0
+    pairs: tuple[NeedPair, ...]  # ordered pair a * size + b, in rank order
 
 
 @lru_cache(maxsize=None)
-def _rules(spec: AlgebraSpec) -> _Rules:
-    """Per target color: the pairs that must witness each of its elements,
-    then the (all-blue) pairs that must witness none, both in rank order."""
+def _rule_table(spec: AlgebraSpec) -> _RuleTable:
     colors = spec.diversity_colors()
-    pairs = [NeedPair(c1, c2) for c1 in colors for c2 in colors]
+    size = len(colors)
+    unordered = tuple((a, b) for a in range(size) for b in range(a, size))
+    row = np.zeros((size, size), dtype=np.intp)
+    for u, (a, b) in enumerate(unordered):
+        row[a, b] = row[b, a] = u
+    need = np.array([[is_mandatory(spec, colors[a], colors[b], c) for a, b in unordered]
+                     for c in colors])
+    ordered = np.array([1 if a == b else 2 for a, b in unordered])  # per row
+    group = np.array([(a >= spec.p) + (b >= spec.p) for a, b in unordered])
+    weights = np.stack([np.where(group == g, ordered, 0) for g in range(3)])
+    # the last column, picked by label -1, is zero
+    leave_zero = np.zeros((len(unordered), size + 1), dtype=np.int64)
+    leave_zero[:, :size] = (ordered * np.where(need, -1, 1)).T
+    for table in (row, need, group, weights, leave_zero):
+        table.flags.writeable = False  # shared by every caller of the cache
+    pairs = tuple(NeedPair(c1, c2) for c1 in colors for c2 in colors)
+    return _RuleTable(unordered, row, need, group, weights, leave_zero, pairs)
+
+
+def _broken(
+    table: _RuleTable, counts: np.ndarray, labels: np.ndarray, at: int | slice | np.ndarray
+) -> np.ndarray:
+    """Rules broken at position(s) `at`, one per row of `counts`: a needed
+    pair with no witness, or a banned pair with some.  Judged by the
+    labels, so meaningless where the label is -1."""
+    return (counts[:, at] == 0) == table.need[labels[at]].T
+
+
+def _counts(s: SplitState, spec: AlgebraSpec, naive: bool) -> np.ndarray:
+    """The pair-count rows of a split, in the order of `_rule_table`."""
+    if (spec.p, spec.q) != (s.p, s.q):
+        raise ValueError("spec shape must match the split's (p, q)")
+    pairs = _rule_table(spec).unordered
+    counts = np.empty((len(pairs), 1 << s.base.m), dtype=np.int64)
+    if naive:
+        parts = list(s.parts().values())
+        for u, (a, b) in enumerate(pairs):
+            counts[u] = pair_counts_naive(parts[a], parts[b])
+    else:
+        # one forward transform per part, one inverse per unordered pair
+        fwd = [walsh_hadamard((s.labels == code).astype(np.int64))
+               for code in range(spec.num_diversity)]
+        for u, (a, b) in enumerate(pairs):
+            counts[u] = walsh_hadamard(fwd[a] * fwd[b])
+        counts >>= s.base.m
+    return counts
+
+
+def _entries(
+    table: _RuleTable, counts: np.ndarray, labels: np.ndarray
+) -> tuple[tuple[tuple[int, NeedPair], ...], tuple[tuple[int, NeedPair], ...]]:
+    """(unsatisfied, forbidden) entries, element ascending, then ordered
+    pairs in rank order; only positions that break a rule are expanded."""
+    broken = _broken(table, counts, labels, slice(None))
+    zs = np.flatnonzero(broken.any(axis=0) & (labels >= 0))
+    flat = table.row.ravel()  # ordered pair -> its row
+    at, j = np.nonzero(broken[:, zs][flat].T)  # positions x ordered pairs
+    zs = zs[at]
+    needed = table.need[labels[zs], flat[j]]
     return tuple(
-        (
-            c3,
-            tuple(pair for pair in pairs if is_mandatory(spec, *pair, c3)),
-            tuple(pair for pair in pairs if not is_mandatory(spec, *pair, c3)),
-        )
-        for c3 in colors
+        tuple(zip(zs[sel].tolist(), map(table.pairs.__getitem__, j[sel].tolist())))
+        for sel in (needed, ~needed)
     )
 
 
-def _rule_masks(
-    rules: _Rules,
-    ind: dict[ColorId, np.ndarray],
-    counts: dict[tuple[ColorId, ColorId], np.ndarray],
-) -> Iterator[tuple[ColorId, NeedPair | None, bool, np.ndarray | None]]:
-    """(target, pair, banned, mask) per rule, in table order.
-
-    The mask marks the elements of the target color that the rule breaks:
-    no witness of a needed pair, or some witness of a banned one.  A color
-    with no elements yields (target, None, False, None) instead, once.
-    """
-    for target, needed, banned in rules:
-        at = ind[target].astype(bool)
-        if not at.any():
-            yield target, None, False, None
-            continue
-        for pair in needed:
-            mask = counts[pair] == 0
-            mask &= at  # in place: one temporary per rule, not two
-            yield target, pair, False, mask
-        for pair in banned:
-            mask = counts[pair] > 0
-            mask &= at
-            yield target, pair, True, mask
-
-
-def _counts(
-    s: SplitState, spec: AlgebraSpec, naive: bool
-) -> tuple[dict[ColorId, np.ndarray], dict[tuple[ColorId, ColorId], np.ndarray]]:
-    """Boolean part indicators and all ordered pair-count vectors of a split.
-
-    XOR convolution commutes, so a pair and its mirror share one vector.
-    """
-    if (spec.p, spec.q) != (s.p, s.q):
-        raise ValueError("spec shape must match the split's (p, q)")
-    colors = spec.diversity_colors()
-    ind = {c: s.labels == code for code, c in enumerate(colors)}
-    if naive:
-        parts = s.parts()
-        count = lambda c1, c2: pair_counts_naive(parts[c1], parts[c2])
-    else:
-        # one forward transform per part, one inverse per unordered pair
-        fwd = {c: walsh_hadamard(at.astype(np.int64)) for c, at in ind.items()}
-        count = lambda c1, c2: walsh_hadamard(fwd[c1] * fwd[c2]) >> s.base.m
-    counts = {}
-    for i, c1 in enumerate(colors):
-        for c2 in colors[i:]:
-            counts[(c1, c2)] = count(c1, c2)
-            counts[(c2, c1)] = counts[(c1, c2)]
-    return ind, counts
-
-
 def _report(s: SplitState, spec: AlgebraSpec, naive: bool) -> ViolationReport:
-    empty: list[ColorId] = []
-    found: tuple[list, list] = ([], [])
-    masks = _rule_masks(_rules(spec), *_counts(s, spec, naive))
-    for target, pair, banned, mask in masks:
-        if mask is None:
-            empty.append(target)
-        else:
-            found[banned].extend((int(z), pair) for z in np.flatnonzero(mask))
-    # rules come in pair-rank order, so a stable sort by element finishes it
-    unsat, forbid = (tuple(sorted(f, key=lambda item: item[0])) for f in found)
-    return ViolationReport(unsat, forbid, tuple(empty))
+    unsat, forbid = _entries(_rule_table(spec), _counts(s, spec, naive), s.labels)
+    present = np.zeros(spec.num_diversity + 1, dtype=bool)
+    present[s.labels] = True  # label -1 marks the spare last slot
+    empty = tuple(c for c, seen in zip(spec.diversity_colors(), present) if not seen)
+    return ViolationReport(unsat, forbid, empty)
 
 
 def violations(s: SplitState, spec: AlgebraSpec) -> ViolationReport:
@@ -339,11 +350,11 @@ class _ClimbEngine:
     layers of the rule's pair: RR, RB and BB.  Moving e into or out of
     color c changes row {c, d} only at e XOR D, for each color d with
     elements D; only the positions where such a count crosses zero are
-    re-judged, by a `need[target, row]` table built from `_rules`, and e
-    itself is re-scored under its new label.  `violation_count` is the
-    running total plus one per empty part, and `move_pool` XOR-convolves
-    the tallies with the layer indicators, a few transforms per call
-    however many violations there are.
+    re-judged, by the `leave_zero` column of the spec's `_rule_table`, and
+    e itself is re-scored under its new label by `_broken`.
+    `violation_count` is the running total plus one per empty part, and
+    `move_pool` XOR-convolves the tallies with the layer indicators, a few
+    transforms per call however many violations there are.
     """
 
     def __init__(self, state: SplitState, spec: AlgebraSpec):
@@ -351,28 +362,10 @@ class _ClimbEngine:
         self.p, self.q = state.p, state.q
         self.spec = spec
         self.colors = spec.diversity_colors()
-        size = len(self.colors)
+        self.table = _rule_table(spec)
         self.labels = state.labels.copy()
-        self.members = [np.flatnonzero(self.labels == code) for code in range(size)]
-        pairs = [(a, b) for a in range(size) for b in range(a, size)]
-        self.row = np.zeros((size, size), dtype=np.intp)  # ordered pair -> its row
-        for u, (a, b) in enumerate(pairs):
-            self.row[a, b] = self.row[b, a] = u
-        # blue colors in each row's pair: 0 RR, 1 RB, 2 BB
-        self.group = np.array([(a >= self.p) + (b >= self.p) for a, b in pairs])
-        self.need = np.zeros((size, len(pairs)), dtype=bool)
-        for t, (_target, needed, _banned) in enumerate(_rules(spec)):
-            for pair in needed:
-                self.need[t, self.row[spec.color_index(pair.first),
-                                      spec.color_index(pair.second)]] = True
-        ordered = np.array([1 if a == b else 2 for a, b in pairs])  # ordered pairs per row
-        self.weights = np.stack([np.where(self.group == g, ordered, 0) for g in range(3)])
-        # tally change at a position, by its label, when its count in a row
-        # leaves zero; the last column, picked by label -1, is zero
-        self.leave_zero = np.zeros((len(pairs), size + 1), dtype=np.int64)
-        self.leave_zero[:, :size] = (ordered * np.where(self.need, -1, 1)).T
-        _ind, counts = _counts(state, spec, naive=False)
-        self.counts = np.stack([counts[(self.colors[a], self.colors[b])] for a, b in pairs])
+        self.members = [np.flatnonzero(self.labels == code) for code in range(len(self.colors))]
+        self.counts = _counts(state, spec, naive=False)
         self.tally = np.zeros((3, 1 << state.base.m), dtype=np.int64)
         labeled = np.flatnonzero(self.labels >= 0)
         self.tally[:, labeled] = self._score(labeled)
@@ -382,14 +375,14 @@ class _ClimbEngine:
 
     def _score(self, at: int | np.ndarray) -> np.ndarray:
         """Rules broken at labeled position(s) `at`, per layer group."""
-        broken = (self.counts[:, at] == 0) == self.need[self.labels[at]].T
-        return self.weights @ broken
+        return self.table.weights @ _broken(self.table, self.counts, self.labels, at)
 
     def _shift(self, code: int, e: int, sign: int) -> None:
         """Count element e in (+1) or out of (-1) color `code`; e is
         unlabeled meanwhile and in no member list."""
+        table = self.table
         for d, xs in enumerate(self.members):
-            u = self.row[code, d]
+            u = table.row[code, d]
             z = xs ^ e
             counts = self.counts[u]
             before = counts[z]
@@ -397,12 +390,12 @@ class _ClimbEngine:
             counts[z] = after
             crossed = z[(before if sign > 0 else after) == 0]
             if crossed.size:
-                delta = self.leave_zero[u, self.labels[crossed]]
+                delta = table.leave_zero[u, self.labels[crossed]]
                 if sign < 0:
                     delta = -delta
-                self.tally[self.group[u], crossed] += delta
+                self.tally[table.group[u], crossed] += delta
                 self.total += int(delta.sum())
-        self.counts[self.row[code, code], 0] += sign  # the pair (e, e)
+        self.counts[table.row[code, code], 0] += sign  # the pair (e, e)
 
     def remove(self, c: ColorId, e: int) -> None:
         code = self.spec.color_index(c)
@@ -425,18 +418,9 @@ class _ClimbEngine:
         return self.total + sum(xs.size == 0 for xs in self.members)
 
     def unsatisfied_items(self) -> list[tuple[int, NeedPair]]:
-        ind = {c: self.labels == code for code, c in enumerate(self.colors)}
-        counts = {
-            (c1, c2): self.counts[self.row[a, b]]
-            for a, c1 in enumerate(self.colors)
-            for b, c2 in enumerate(self.colors)
-        }
-        return [
-            (int(z), pair)
-            for _, pair, _, mask in _rule_masks(_rules(self.spec), ind, counts)
-            if mask is not None
-            for z in np.flatnonzero(mask)
-        ]
+        """Every broken rule as (element, pair), unsatisfied and forbidden."""
+        unsat, forbid = _entries(self.table, self.counts, self.labels)
+        return [*unsat, *forbid]
 
     def move_pool(self) -> np.ndarray:
         """Elements implicated in some violation and free to change part.
