@@ -8,24 +8,45 @@ formulas produce byte-identical files.
 
 from __future__ import annotations
 
+import io
+from collections.abc import Iterator
+
 from ..algebra import AlgebraSpec
 from .encode import Clause, ClauseGroup, CnfFormula
 
 
+# characters per `splitlines()` call when reading DIMACS text
+SLICE_CHARS = 1 << 20
+
+
 def to_dimacs(formula: CnfFormula) -> str:
-    lines = []
+    out = io.StringIO()
     for comment in formula.comments:
-        lines.append(f"c {comment}")
-    lines.append(
+        out.write(f"c {comment}\n")
+    out.write(
         "c varmap: var(i,j,c) = t*(j*(j-1)/2 + i) + c + 1 for 0<=i<j<V, "
-        "colors red-first; auxiliaries above"
+        "colors red-first; auxiliaries above\n"
     )
     for group in formula.groups:
-        lines.append(f"c group {group.tag}: {len(group.clauses)} clauses")
-    lines.append(f"p cnf {formula.num_vars} {formula.num_clauses}")
+        out.write(f"c group {group.tag}: {len(group.clauses)} clauses\n")
+    out.write(f"p cnf {formula.num_vars} {formula.num_clauses}\n")
     for clause in formula.clauses():
-        lines.append(" ".join(str(lit) for lit in clause) + " 0")
-    return "\n".join(lines) + "\n"
+        out.write(" ".join(map(str, clause)) + " 0\n")
+    return out.getvalue()
+
+
+def _lines(text: str) -> Iterator[str]:
+    """The lines of `text`, split one slice of about SLICE_CHARS at a time.
+
+    Each slice ends just after a newline, so no line crosses a slice
+    boundary and the result equals `text.splitlines()`, without holding
+    every line at once.
+    """
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + SLICE_CHARS - 1) + 1 or len(text)
+        yield from text[start:end].splitlines()
+        start = end
 
 
 def parse_dimacs(text: str) -> tuple[int, list[Clause]]:
@@ -34,7 +55,7 @@ def parse_dimacs(text: str) -> tuple[int, list[Clause]]:
     num_clauses: int | None = None
     clauses: list[Clause] = []
     pending: list[int] = []
-    for raw in text.splitlines():
+    for raw in _lines(text):
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
@@ -75,7 +96,7 @@ def formula_from_dimacs(text: str, source: str) -> CnfFormula:
     """
     num_vars, clauses = parse_dimacs(text)
     meta: dict[str, str] = {}
-    for line in text.splitlines():
+    for line in _lines(text):
         if line.startswith("p "):
             break
         if not line.startswith("c "):

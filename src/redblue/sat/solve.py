@@ -202,49 +202,103 @@ def _certify(
 
 
 def dpll(num_vars: int, clauses: list[Clause]) -> tuple[bool, dict[int, bool]]:
-    """Plain DPLL: unit propagation plus first-unassigned branching.
+    """DPLL with two watched literals: unit propagation over one trail,
+    lowest-unassigned branching and chronological backtracking.
+
+    Branching takes the lowest unassigned variable, True first and then
+    False, so the answer is the first satisfying assignment in that order.
+    Literals are coded as in `redblue.sat.cdcl`: 2*var for the positive and
+    2*var + 1 for the negative literal, so `lit ^ 1` negates, and
+    `value[lit]` is 1, -1 or 0 for true, false or unassigned.  Duplicate
+    literals, tautologies, unit and empty clauses are dealt with once,
+    before the search; every other clause sits in the watch lists of its
+    first two literals.
 
     Returns (satisfiable, assignment); the assignment is total over
-    1..num_vars when satisfiable.
+    1..num_vars when satisfiable.  A literal outside 1..num_vars raises
+    ValueError.
     """
+    n = num_vars
+    value = [0] * (2 * n + 2)
+    watches: list[list[list[int]]] = [[] for _ in range(2 * n + 2)]
+    trail: list[int] = []
+    for clause in clauses:
+        lits = []
+        for d in clause:
+            if not 0 < abs(d) <= n:
+                raise ValueError(f"literal {d} outside 1..{n}")
+            lits.append(2 * d if d > 0 else 1 - 2 * d)
+        lits = list(dict.fromkeys(lits))
+        if any(lit ^ 1 in lits for lit in lits):
+            continue  # tautology
+        if len(lits) > 1:
+            watches[lits[0]].append(lits)
+            watches[lits[1]].append(lits)
+        elif not lits or value[lits[0]] == -1:
+            return False, {}
+        elif not value[lits[0]]:
+            value[lits[0]], value[lits[0] ^ 1] = 1, -1
+            trail.append(lits[0])
 
-    def propagate(assign: dict[int, bool]) -> dict[int, bool] | None:
-        changed = True
-        while changed:
-            changed = False
-            for clause in clauses:
-                unassigned = []
-                satisfied = False
-                for lit in clause:
-                    val = assign.get(abs(lit))
-                    if val is None:
-                        unassigned.append(lit)
-                    elif val == (lit > 0):
-                        satisfied = True
-                        break
-                if satisfied:
+    def propagate(head: int) -> bool:
+        """Assign every literal the trail implies from `head` on; False on a conflict."""
+        while head < len(trail):
+            false_lit = trail[head] ^ 1
+            head += 1
+            watching = watches[false_lit]
+            kept = []
+            for i, clause in enumerate(watching):
+                if clause[0] == false_lit:
+                    clause[0], clause[1] = clause[1], false_lit
+                other = clause[0]
+                if value[other] == 1:
+                    kept.append(clause)
                     continue
-                if not unassigned:
-                    return None
-                if len(unassigned) == 1:
-                    lit = unassigned[0]
-                    assign[abs(lit)] = lit > 0
-                    changed = True
-        return assign
+                for k in range(2, len(clause)):
+                    lit = clause[k]
+                    if value[lit] != -1:
+                        clause[1], clause[k] = lit, false_lit
+                        watches[lit].append(clause)
+                        break
+                else:
+                    kept.append(clause)
+                    if value[other] == -1:
+                        kept.extend(watching[i + 1 :])
+                        watches[false_lit] = kept
+                        return False
+                    value[other], value[other ^ 1] = 1, -1
+                    trail.append(other)
+            watches[false_lit] = kept
+        return True
 
-    stack: list[dict[int, bool]] = [{}]
-    while stack:
-        assign = propagate(stack.pop())
-        if assign is None:
-            continue
-        var = next((v for v in range(1, num_vars + 1) if v not in assign), None)
-        if var is None:
-            return True, assign
-        for value in (False, True):
-            branch = dict(assign)
-            branch[var] = value
-            stack.append(branch)
-    return False, {}
+    if not propagate(0):
+        return False, {}
+    decisions: list[tuple[int, int]] = []  # (trail length before, decision literal)
+    var = 0
+    while True:
+        # every variable up to the latest decision is assigned
+        var = next((v for v in range(var + 1, n + 1) if not value[2 * v]), 0)
+        if not var:
+            return True, {v: value[2 * v] == 1 for v in range(1, n + 1)}
+        lit = 2 * var
+        while True:
+            start = len(trail)
+            decisions.append((start, lit))
+            value[lit], value[lit ^ 1] = 1, -1
+            trail.append(lit)
+            if propagate(start):
+                break
+            # back to the latest decision still on its True branch
+            while decisions and decisions[-1][1] & 1:
+                decisions.pop()
+            if not decisions:
+                return False, {}
+            start, lit = decisions.pop()
+            for undo in trail[start:]:
+                value[undo] = value[undo ^ 1] = 0
+            del trail[start:]
+            lit ^= 1
+            var = lit >> 1
 
 
 def enumerate_models(

@@ -1,5 +1,6 @@
 """CNF encodings, DIMACS plumbing, and solver drivers."""
 
+import hashlib
 import itertools
 import os
 import random
@@ -8,7 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import redblue
 from redblue.algebra import ALGEBRA_ONE_BLUE, ALGEBRA_TWO_BLUE, AlgebraSpec, blue, needs_of, red
@@ -35,7 +36,7 @@ from redblue.sat import (
     solve,
     to_dimacs,
 )
-from redblue.sat import cdcl
+from redblue.sat import cdcl, dimacs
 from redblue.sat.cdcl import Cdcl
 from redblue.sat.proof import check_rup
 from redblue.sat.dimacs import formula_from_dimacs
@@ -319,6 +320,46 @@ def test_dimacs_parse_errors():
         parse_dimacs("p cnf 2 2\n1 0\n")  # count mismatch
 
 
+# line-split variants: a clause over several lines, two clauses on one
+# line, a comment between clause lines, blank lines, CRLF endings and a last
+# line without a newline
+SPLIT_DIMACS = (
+    "c header\np cnf 4 3\n1 -2\n3 0 -4 2 0\nc mid\n\n4\n-1 0",
+    "c header\r\np cnf 4 3\r\n1 -2\r\n3 0 -4 2 0\r\nc mid\r\n\r\n4\r\n-1 0\r\n",
+)
+
+
+def _parse_tokens(text):
+    """(num_vars, clauses) straight from the token stream of each line."""
+    lines = [ln.strip() for ln in text.splitlines()]
+    body = [ln for ln in lines if ln and not ln.startswith(("c", "p"))]
+    num_vars = int(next(ln for ln in lines if ln.startswith("p")).split()[2])
+    clauses, pending = [], []
+    for tok in " ".join(body).split():
+        if tok == "0":
+            clauses.append(tuple(pending))
+            pending = []
+        else:
+            pending.append(int(tok))
+    return num_vars, clauses
+
+
+@pytest.mark.parametrize("text", SPLIT_DIMACS)
+@pytest.mark.parametrize("slice_chars", [1, 2, 3, 5, 8, 13, 1 << 20])
+def test_parse_dimacs_across_slices(monkeypatch, text, slice_chars):
+    monkeypatch.setattr(dimacs, "SLICE_CHARS", slice_chars)
+    assert list(dimacs._lines(text)) == text.splitlines()
+    assert parse_dimacs(text) == _parse_tokens(text) == (4, [(1, -2, 3), (-4, 2), (4, -1)])
+    written = to_dimacs(all_edges_formula(5, ALGEBRA_ONE_BLUE))
+    assert parse_dimacs(written) == _parse_tokens(written)
+
+
+@pytest.mark.parametrize("slice_chars", [1, 3])
+def test_dimacs_parse_errors_across_slices(monkeypatch, slice_chars):
+    monkeypatch.setattr(dimacs, "SLICE_CHARS", slice_chars)
+    test_dimacs_parse_errors()
+
+
 # ---------------------------------------------------------------------------
 # the builtin solver
 # ---------------------------------------------------------------------------
@@ -349,6 +390,103 @@ def test_dpll_agrees_with_truth_table(clauses):
     if sat:
         for cl in clauses:
             assert any(assignment[abs(l)] == (l > 0) for l in cl)
+
+
+def _dpll_reference(num_vars, clauses):
+    """The builtin DPLL as it was before watched literals, frozen as an oracle:
+    a dict copied at every branch and every clause rescanned per pass."""
+
+    def propagate(assign):
+        changed = True
+        while changed:
+            changed = False
+            for clause in clauses:
+                unassigned = []
+                satisfied = False
+                for lit in clause:
+                    val = assign.get(abs(lit))
+                    if val is None:
+                        unassigned.append(lit)
+                    elif val == (lit > 0):
+                        satisfied = True
+                        break
+                if satisfied:
+                    continue
+                if not unassigned:
+                    return None
+                if len(unassigned) == 1:
+                    lit = unassigned[0]
+                    assign[abs(lit)] = lit > 0
+                    changed = True
+        return assign
+
+    stack = [{}]
+    while stack:
+        assign = propagate(stack.pop())
+        if assign is None:
+            continue
+        var = next((v for v in range(1, num_vars + 1) if v not in assign), None)
+        if var is None:
+            return True, assign
+        for value in (False, True):
+            branch = dict(assign)
+            branch[var] = value
+            stack.append(branch)
+    return False, {}
+
+
+# CNFs over 0..8 variables: empty formulas, empty and unit clauses,
+# duplicate literals and tautologies all occur
+REFERENCE_CNFS = st.integers(min_value=0, max_value=8).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(
+            st.lists(
+                st.integers(min_value=1, max_value=max(n, 1)).flatmap(
+                    lambda v: st.sampled_from([v, -v])
+                ),
+                max_size=5 if n else 0,
+            ).map(tuple),
+            max_size=24,
+        ),
+    )
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(REFERENCE_CNFS)
+@example((0, []))
+@example((0, [()]))
+@example((3, []))
+@example((3, [(1, 2), ()]))
+@example((2, [(2, 2), (-1, -2)]))
+@example((2, [(1, -1), (2, 1, -1)]))
+@example((3, [(2,), (-2,)]))
+@example((3, [(-1, -1), (1, 2, 2), (-2, 3, -3)]))
+def test_dpll_matches_reference(case):
+    num_vars, clauses = case
+    assert dpll(num_vars, clauses) == _dpll_reference(num_vars, clauses)
+
+
+# sha256 of repr(sorted(model.items())) for all-edges V=8 with one blue,
+# recorded with the reference DPLL
+ALL_EDGES_V8_MODEL_SHA = "07c34ba9500f7c8544b8cedd9fa93919bbd27338ae123ba136207ad2bdce9dc4"
+
+
+def test_dpll_all_edges_models_frozen():
+    f = all_edges_formula(8, ALGEBRA_ONE_BLUE)
+    sat, model = dpll(f.num_vars, list(f.clauses()))
+    assert sat and sorted(model) == list(range(1, f.num_vars + 1))
+    digest = hashlib.sha256(repr(sorted(model.items())).encode()).hexdigest()
+    assert digest == ALL_EDGES_V8_MODEL_SHA
+    f = all_edges_formula(5, ALGEBRA_TWO_BLUE)
+    assert dpll(f.num_vars, list(f.clauses())) == (False, {})
+
+
+def test_dpll_rejects_literals_outside_range():
+    for clause in [(3,), (1, -3), (0,)]:
+        with pytest.raises(ValueError):
+            dpll(2, [clause])
 
 
 def test_builtin_solves_tiny_formula(monkeypatch):
