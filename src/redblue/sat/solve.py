@@ -13,9 +13,11 @@ independent RUP checker in `redblue.sat.proof` has accepted its
 learned-clause log; otherwise it prints UNKNOWN, which this bridge reports
 as UNKNOWN.
 
-The builtin solver is a plain DPLL with unit propagation and first-open
-branching, capped by variable count; it exists so that small instances and
-tests run with zero external dependencies, not for performance.
+The builtin solver is a DPLL, capped by variable count: unit propagation
+with two watched literals over one trail, branching on the lowest
+unassigned variable (True first, then False) and chronological
+backtracking.  It learns no clauses; it exists so that small instances and
+tests run with zero external dependencies, not for the lower-bound ladder.
 """
 
 from __future__ import annotations
