@@ -6,13 +6,15 @@ and q blues, stored as one read-only int8 label per cube element
 (`SplitState`).  Random splits are drawn with a counter-based SplitMix64
 hash, one uint64 numpy pass over all 2^m elements, so results are
 bit-identical across platforms (see `random_split`).  The violation counter
-uses the transform route from the cube module; the naive route doubles as
-an independent oracle, and any split the hill climber claims to have solved
-is re-verified against it before being reported.  The two routes differ
-only in how they count (`_counts`); both, and the climber, judge the counts
-by one cached table per spec (`_rule_table`) and one comparison with it
-(`_broken`).  `iter_trials` is the one trial loop, with or without
-repair; `monte_carlo` tallies it.
+uses the transform route from the cube module; the naive route is the test
+oracle, and any split the hill climber claims to have solved is re-checked
+by the cube module's sumset verifier before being reported.  The two routes
+differ only in how they count (`_counts`); both, and the climber, judge the
+counts by one cached table per spec (`_rule_table`) and one comparison with
+it (`_broken`).  `iter_trials` is the one trial loop, with or without
+repair; `monte_carlo` tallies it.  The loop transforms the two layers once
+(`layer_sums`), so each trial derives the last part of each layer, and the
+count rows of two last parts, by subtraction instead of by transform.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .algebra import (
     is_mandatory,
     union_bound_at,
 )
+from . import cube
 from .cube import (
     CubeSubset,
     GroupColoring,
@@ -247,6 +250,9 @@ class _RuleTable(NamedTuple):
     weights: np.ndarray  # [group, row]: ordered pairs per row, in its group
     leave_zero: np.ndarray  # [row, label]: tally change when a count leaves 0
     pairs: tuple[NeedPair, ...]  # ordered pair a * size + b, in rank order
+    # per group RR, RB, BB: the row of the two layers' last parts, and each
+    # other row of the group with the times its pairs enter the layer row
+    derive: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
 
 
 @lru_cache(maxsize=None)
@@ -268,7 +274,16 @@ def _rule_table(spec: AlgebraSpec) -> _RuleTable:
     for table in (row, need, group, weights, leave_zero):
         table.flags.writeable = False  # shared by every caller of the cache
     pairs = tuple(NeedPair(c1, c2) for c1 in colors for c2 in colors)
-    return _RuleTable(unordered, row, need, group, weights, leave_zero, pairs)
+    # a layer row counts a mixed pair inside one layer in both orders, and
+    # a red-blue pair red first only
+    lasts = (spec.p - 1, size - 1)
+    derive = []
+    for g, (i, j) in enumerate(((0, 0), (0, 1), (1, 1))):
+        last = int(row[lasts[i], lasts[j]])
+        others = tuple((u, 1 if g == 1 else int(ordered[u]))
+                       for u in np.flatnonzero(group == g).tolist() if u != last)
+        derive.append((last, others))
+    return _RuleTable(unordered, row, need, group, weights, leave_zero, pairs, tuple(derive))
 
 
 def _broken(
@@ -277,26 +292,75 @@ def _broken(
     """Rules broken at position(s) `at`, one per row of `counts`: a needed
     pair with no witness, or a banned pair with some.  Judged by the
     labels, so meaningless where the label is -1."""
-    return (counts[:, at] == 0) == table.need[labels[at]].T
+    # take along the last axis: the result is laid out like `counts`
+    return (counts[:, at] == 0) == np.take(table.need.T, labels[at], axis=-1)
 
 
-def _counts(s: SplitState, spec: AlgebraSpec, naive: bool) -> np.ndarray:
-    """The pair-count rows of a split, in the order of `_rule_table`."""
+class LayerSums(NamedTuple):
+    """Transforms of the two layers of a partition, shared by all its splits.
+
+    `fwd` holds the forward transforms of the red and the blue layer
+    indicator; `rows` the unscaled inverse transforms of their products,
+    red-red, red-blue and blue-blue: 2^m times the layer pair counts.
+    """
+
+    base: LayerPartition
+    fwd: tuple[np.ndarray, np.ndarray]
+    rows: tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def layer_sums(base: LayerPartition) -> LayerSums:
+    """The layer sums of `base`: five transforms, read-only results."""
+    fwd = tuple(walsh_hadamard(layer.astype(np.int64)) for layer in _layers(base))
+    rows = tuple(walsh_hadamard(fwd[i] * fwd[j]) for i, j in ((0, 0), (0, 1), (1, 1)))
+    for vec in (*fwd, *rows):
+        vec.flags.writeable = False
+    return LayerSums(base, fwd, rows)
+
+
+def _counts(
+    s: SplitState, spec: AlgebraSpec, naive: bool, sums: LayerSums | None = None
+) -> np.ndarray:
+    """The pair-count rows of a split, in the order of `_rule_table`.
+
+    The transform route takes one forward transform per part and one
+    inverse per row.  Given the `sums` of the split's base it skips the
+    last part of each layer and the rows whose colors are both last parts:
+    the parts of a layer sum to the layer, and the transform is linear, so
+    the last part's transform is the layer's minus the other parts'; the
+    XOR convolution is bilinear, so a row of two last parts is its layer
+    row minus the group's other rows, a mixed pair inside one layer taken
+    twice (`_RuleTable.derive`).  Everything is int64 and exact: each term
+    is the transform of a 0/1 vector or 2^m times a pair count.
+    """
     if (spec.p, spec.q) != (s.p, s.q):
         raise ValueError("spec shape must match the split's (p, q)")
-    pairs = _rule_table(spec).unordered
-    counts = np.empty((len(pairs), 1 << s.base.m), dtype=np.int64)
+    table = _rule_table(spec)
+    counts = np.empty((len(table.unordered), 1 << s.base.m), dtype=np.int64)
     if naive:
         parts = list(s.parts().values())
-        for u, (a, b) in enumerate(pairs):
+        for u, (a, b) in enumerate(table.unordered):
             counts[u] = pair_counts_naive(parts[a], parts[b])
-    else:
-        # one forward transform per part, one inverse per unordered pair
-        fwd = [walsh_hadamard((s.labels == code).astype(np.int64))
-               for code in range(spec.num_diversity)]
-        for u, (a, b) in enumerate(pairs):
+        return counts
+    lasts = () if sums is None else (spec.p - 1, spec.num_diversity - 1)
+    fwd = [None if code in lasts else walsh_hadamard((s.labels == code).astype(np.int64))
+           for code in range(spec.num_diversity)]
+    derived = {}
+    if sums is not None:
+        if sums.base != s.base:
+            raise ValueError("layer sums must be those of the split's base")
+        for layer_hat, first, last in zip(sums.fwd, (0, spec.p), lasts):
+            fwd[last] = layer_hat - sum(fwd[first:last])
+        derived = {last: (layer_row, others)
+                   for (last, others), layer_row in zip(table.derive, sums.rows)}
+    for u, (a, b) in enumerate(table.unordered):
+        if u not in derived:
             counts[u] = walsh_hadamard(fwd[a] * fwd[b])
-        counts >>= s.base.m
+    for last, (layer_row, others) in derived.items():
+        counts[last] = layer_row
+        for u, times in others:
+            counts[last] -= times * counts[u]
+    counts >>= s.base.m
     return counts
 
 
@@ -317,21 +381,29 @@ def _entries(
     )
 
 
-def _report(s: SplitState, spec: AlgebraSpec, naive: bool) -> ViolationReport:
-    unsat, forbid = _entries(_rule_table(spec), _counts(s, spec, naive), s.labels)
+def _report(
+    s: SplitState, spec: AlgebraSpec, naive: bool, sums: LayerSums | None = None
+) -> ViolationReport:
+    unsat, forbid = _entries(_rule_table(spec), _counts(s, spec, naive, sums), s.labels)
     present = np.zeros(spec.num_diversity + 1, dtype=bool)
     present[s.labels] = True  # label -1 marks the spare last slot
     empty = tuple(c for c, seen in zip(spec.diversity_colors(), present) if not seen)
     return ViolationReport(unsat, forbid, empty)
 
 
-def violations(s: SplitState, spec: AlgebraSpec) -> ViolationReport:
-    """Exact violation report via the transform route."""
-    return _report(s, spec, naive=False)
+def violations(
+    s: SplitState, spec: AlgebraSpec, *, sums: LayerSums | None = None
+) -> ViolationReport:
+    """Exact violation report via the transform route.
+
+    With the `layer_sums` of the split's base, the report takes fewer
+    transforms and is the same (see `_counts`).
+    """
+    return _report(s, spec, naive=False, sums=sums)
 
 
 def violations_naive(s: SplitState, spec: AlgebraSpec) -> ViolationReport:
-    """Same report via direct pair enumeration; the independent oracle."""
+    """Same report via direct pair enumeration; the tests' oracle."""
     return _report(s, spec, naive=True)
 
 
@@ -476,10 +548,11 @@ def hill_climb(
     With `anneal`, uphill moves are also accepted with probability
     exp(-delta/T) under a geometric cooling schedule (`START_TEMP`,
     `COOLING`), and the trace may increase.  Stops at zero violations (in
-    which case the result is re-verified by the naive counting route and a
-    bookkeeping divergence raises) or when the budget runs out; if no
-    violating element is free to move (for instance p = 1 with only
-    red-target violations), the climb stops early.
+    which case the result is re-checked by the sumset verifier,
+    `cube.verify_group_representation`, which shares no counting code with
+    the climb, and a bookkeeping divergence raises) or when the budget runs
+    out; if no violating element is free to move (for instance p = 1 with
+    only red-target violations), the climb stops early.
     """
     if budget < 0:
         raise ValueError("budget >= 0 required")
@@ -514,13 +587,10 @@ def hill_climb(
         if anneal:
             temp *= COOLING
     final = engine.to_state(s.seed)
-    del engine  # its count rows are not needed by the naive recount below
-    if count == 0:
-        report = violations_naive(final, spec)
-        if not report.solved:
-            raise RuntimeError(
-                "incremental bookkeeping diverged from the naive recount"
-            )
+    del engine  # its count rows are not needed by the re-check below
+    # count 0 includes no empty part, so the split is a coloring
+    if count == 0 and not cube.verify_group_representation(final.to_coloring(), spec).ok:
+        raise RuntimeError("incremental bookkeeping diverged from the sumset verifier")
     return final, trace
 
 
@@ -550,17 +620,20 @@ def iter_trials(
     Trial t draws `random_split` at `trial_seed(seed, t)`, so the results
     are independent of execution order and identical across platforms.
     With a `budget`, each split is first repaired by `hill_climb` under the
-    same seed.  A trial is solved when `violations` finds nothing.
+    same seed.  A trial is solved when `violations` finds nothing; the
+    loop's `layer_sums` spare each report five of its transforms at
+    (p, q) = (1, 2).
     """
     if trials < 1:
         raise ValueError("trials >= 1 required")
     spec = AlgebraSpec(p, q)
+    sums = layer_sums(part)
     for t in range(trials):
         ts = trial_seed(seed, t)
         state = random_split(part, p, q, ts)
         if budget is not None:
             state, _trace = hill_climb(state, spec, budget, ts, anneal=anneal)
-        report = violations(state, spec)
+        report = violations(state, spec, sums=sums)
         yield TrialResult(t, ts, report.count, report.solved), state
 
 

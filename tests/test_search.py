@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from redblue.algebra import AlgebraSpec, NeedPair, blue, is_mandatory, red, union_bound_failure
 from redblue.cube import CubeSubset, LayerPartition, pair_counts_naive
-from redblue.cube import layer_partition, verify_group_representation
+from redblue.cube import layer_partition, verify_group_representation, walsh_hadamard
 from redblue.search import (
     SEARCH_CSV_HEADER,
     MonteCarloResult,
@@ -27,7 +27,8 @@ from redblue.search import (
     violations,
     violations_naive,
 )
-from redblue.search import iter_trials
+from redblue.search import _counts, iter_trials, layer_sums
+from redblue import search
 
 TWO_BLUE = AlgebraSpec(1, 2)
 ONE_BLUE = AlgebraSpec(1, 1)
@@ -163,6 +164,33 @@ def test_report_matches_reference(shape, k, seed, emptied, moved):
     assert not emptied or spec.color_at(p + q - 1) in expected[2]
     for report in (violations(state, spec), violations_naive(state, spec)):
         assert (report.unsatisfied, report.forbidden, report.empty_parts) == expected
+
+
+@pytest.mark.parametrize("variant", ["drawn", "emptied-last", "emptied-other", "moved"])
+@pytest.mark.parametrize("shape", [(1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (3, 2)])
+def test_counts_from_layer_sums_match_both_routes(shape, variant):
+    p, q = shape
+    spec = AlgebraSpec(p, q)
+    seed = 11
+    base = layer_partition(2)
+    labels = random_split(base, p, q, seed).labels.copy()
+    if variant.startswith("emptied"):  # fold a part of each divided layer into another
+        for first, parts in ((0, p), (p, q)):
+            last = first + parts - 1
+            gone, kept = (last, first) if variant == "emptied-last" else (first, last)
+            labels[labels == gone] = kept
+    if variant == "moved":  # the base of test_report_matches_reference's `moved`
+        x = sorted(base.R.elements())[part_index(seed, 0, len(base.R))]
+        point = CubeSubset.from_elements(base.m, [x])
+        base = LayerPartition(base.k, base.R - point, base.B | point)
+        labels[x] = p
+    state = SplitState(base, p, q, seed, labels=labels)
+    direct = _counts(state, spec, naive=False)
+    assert np.array_equal(_counts(state, spec, naive=False, sums=layer_sums(base)), direct)
+    assert np.array_equal(_counts(state, spec, naive=True), direct)
+    if variant == "moved":  # sums of another partition are refused
+        with pytest.raises(ValueError):
+            violations(state, spec, sums=layer_sums(layer_partition(2)))
 
 
 def test_empty_part_is_a_violation(part2):
@@ -303,6 +331,20 @@ def test_hill_climb_solves_small_instance(part3):
     assert verify_group_representation(final.to_coloring(), TWO_BLUE).ok
 
 
+def test_hill_climb_success_is_rechecked(part2, monkeypatch):
+    # the engine's first count is true; after that it claims every split solved
+    true_count = _ClimbEngine.violation_count
+    calls = []
+
+    def lying_count(engine):
+        calls.append(None)
+        return true_count(engine) if len(calls) == 1 else 0
+
+    monkeypatch.setattr(_ClimbEngine, "violation_count", lying_count)
+    with pytest.raises(RuntimeError, match="diverged"):
+        hill_climb(random_split(part2, 1, 2, 7), TWO_BLUE, budget=100, seed=2)
+
+
 def test_hill_climb_budget_zero_returns_start(part2):
     state = random_split(part2, 1, 2, 7)
     final, trace = hill_climb(state, TWO_BLUE, budget=0, seed=0)
@@ -382,6 +424,24 @@ def test_iter_trials_repairs_with_a_budget(part2, anneal):
         report = violations(final, spec)
         assert state == final
         assert (row.violations, row.solved) == (report.count, report.solved)
+
+
+def test_trial_loop_transform_count(part2, monkeypatch):
+    """The loop's layer sums take 5 transforms and each (1, 2) trial 4
+    more; a report without them takes 3 forward and 6 inverse."""
+    calls = []
+
+    def counted(vec):
+        calls.append(vec.shape)
+        return walsh_hadamard(vec)
+
+    monkeypatch.setattr(search, "walsh_hadamard", counted)
+    trials = 7
+    monte_carlo(part2, 1, 2, trials, 3)
+    assert len(calls) == 5 + 4 * trials
+    calls.clear()
+    violations(random_split(part2, 1, 2, 7), TWO_BLUE)
+    assert len(calls) == 9
 
 
 def test_monte_carlo_rejects_zero_trials(part1):
