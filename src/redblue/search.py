@@ -12,9 +12,10 @@ by the cube module's sumset verifier before being reported.  The two routes
 differ only in how they count (`_counts`); both, and the climber, judge the
 counts by one cached table per spec (`_rule_table`) and one comparison with
 it (`_broken`).  `iter_trials` is the one trial loop, with or without
-repair; `monte_carlo` tallies it.  The loop transforms the two layers once
-(`layer_sums`), so each trial derives the last part of each layer, and the
-count rows of two last parts, by subtraction instead of by transform.
+repair; `monte_carlo` tallies it.  The transform route derives the last
+part of each layer, and the count rows of two last parts, from the two
+layers' transforms (`layer_sums`) by subtraction; the trial loop computes
+those once and hands them to every report and climb.
 """
 
 from __future__ import annotations
@@ -323,15 +324,18 @@ def _counts(
 ) -> np.ndarray:
     """The pair-count rows of a split, in the order of `_rule_table`.
 
-    The transform route takes one forward transform per part and one
-    inverse per row.  Given the `sums` of the split's base it skips the
-    last part of each layer and the rows whose colors are both last parts:
-    the parts of a layer sum to the layer, and the transform is linear, so
-    the last part's transform is the layer's minus the other parts'; the
-    XOR convolution is bilinear, so a row of two last parts is its layer
-    row minus the group's other rows, a mixed pair inside one layer taken
-    twice (`_RuleTable.derive`).  Everything is int64 and exact: each term
-    is the transform of a 0/1 vector or 2^m times a pair count.
+    The transform route takes one forward transform per part but the last
+    of each layer, and one inverse per row but the rows whose colors are
+    both last parts.  Those follow from the `layer_sums` of the split's
+    base: the parts of a layer sum to the layer, and the transform is
+    linear, so the last part's transform is the layer's minus the other
+    parts'; the XOR convolution is bilinear, so a row of two last parts is
+    its layer row minus the group's other rows, a mixed pair inside one
+    layer taken twice (`_RuleTable.derive`).  Everything is int64 and
+    exact: each term is the transform of a 0/1 vector or 2^m times a pair
+    count.  Without `sums` they are computed here, five transforms, so a
+    split of n parts costs n + n(n+1)/2 transforms either way; a trial
+    loop computes them once for all its splits.
     """
     if (spec.p, spec.q) != (s.p, s.q):
         raise ValueError("spec shape must match the split's (p, q)")
@@ -342,21 +346,19 @@ def _counts(
         for u, (a, b) in enumerate(table.unordered):
             counts[u] = pair_counts_naive(parts[a], parts[b])
         return counts
-    lasts = () if sums is None else (spec.p - 1, spec.num_diversity - 1)
+    sums = layer_sums(s.base) if sums is None else sums
+    if sums.base != s.base:
+        raise ValueError("layer sums must be those of the split's base")
+    lasts = (spec.p - 1, spec.num_diversity - 1)
     fwd = [None if code in lasts else walsh_hadamard((s.labels == code).astype(np.int64))
            for code in range(spec.num_diversity)]
-    derived = {}
-    if sums is not None:
-        if sums.base != s.base:
-            raise ValueError("layer sums must be those of the split's base")
-        for layer_hat, first, last in zip(sums.fwd, (0, spec.p), lasts):
-            fwd[last] = layer_hat - sum(fwd[first:last])
-        derived = {last: (layer_row, others)
-                   for (last, others), layer_row in zip(table.derive, sums.rows)}
+    for layer_hat, first, last in zip(sums.fwd, (0, spec.p), lasts):
+        fwd[last] = layer_hat - sum(fwd[first:last])
+    derived = {last for last, _others in table.derive}
     for u, (a, b) in enumerate(table.unordered):
         if u not in derived:
             counts[u] = walsh_hadamard(fwd[a] * fwd[b])
-    for last, (layer_row, others) in derived.items():
+    for (last, others), layer_row in zip(table.derive, sums.rows):
         counts[last] = layer_row
         for u, times in others:
             counts[last] -= times * counts[u]
@@ -396,8 +398,8 @@ def violations(
 ) -> ViolationReport:
     """Exact violation report via the transform route.
 
-    With the `layer_sums` of the split's base, the report takes fewer
-    transforms and is the same (see `_counts`).
+    Given the `layer_sums` of the split's base, the report skips the five
+    transforms that compute them (see `_counts`).
     """
     return _report(s, spec, naive=False, sums=sums)
 
@@ -425,11 +427,12 @@ class _ClimbEngine:
     re-judged, by the `leave_zero` column of the spec's `_rule_table`, and
     e itself is re-scored under its new label by `_broken`.
     `violation_count` is the running total plus one per empty part, and
-    `move_pool` XOR-convolves the tallies with the layer indicators, a few
-    transforms per call however many violations there are.
+    `move_pool` XOR-convolves the tallies with the layer indicators, whose
+    transforms are the `layer_sums` of the base, a few transforms per call
+    however many violations there are.
     """
 
-    def __init__(self, state: SplitState, spec: AlgebraSpec):
+    def __init__(self, state: SplitState, spec: AlgebraSpec, sums: LayerSums | None = None):
         self.base = state.base
         self.p, self.q = state.p, state.q
         self.spec = spec
@@ -437,13 +440,14 @@ class _ClimbEngine:
         self.table = _rule_table(spec)
         self.labels = state.labels.copy()
         self.members = [np.flatnonzero(self.labels == code) for code in range(len(self.colors))]
-        self.counts = _counts(state, spec, naive=False)
+        sums = layer_sums(state.base) if sums is None else sums
+        self.counts = _counts(state, spec, naive=False, sums=sums)
         self.tally = np.zeros((3, 1 << state.base.m), dtype=np.int64)
         labeled = np.flatnonzero(self.labels >= 0)
         self.tally[:, labeled] = self._score(labeled)
         self.total = int(self.tally.sum())
         self.layers = (self.labels >= 0) & (self.labels < self.p), self.labels >= self.p
-        self.layer_hat = tuple(walsh_hadamard(at.astype(np.int64)) for at in self.layers)
+        self.layer_hat = sums.fwd
 
     def _score(self, at: int | np.ndarray) -> np.ndarray:
         """Rules broken at labeled position(s) `at`, per layer group."""
@@ -537,6 +541,8 @@ def hill_climb(
     budget: int,
     seed: int,
     anneal: bool = False,
+    *,
+    sums: LayerSums | None = None,
 ) -> tuple[SplitState, list[tuple[int, int]]]:
     """Single-element local search toward zero violations.
 
@@ -547,23 +553,23 @@ def hill_climb(
     trace of (move index, count) at each accepted move is nonincreasing.
     With `anneal`, uphill moves are also accepted with probability
     exp(-delta/T) under a geometric cooling schedule (`START_TEMP`,
-    `COOLING`), and the trace may increase.  Stops at zero violations (in
-    which case the result is re-checked by the sumset verifier,
-    `cube.verify_group_representation`, which shares no counting code with
-    the climb, and a bookkeeping divergence raises) or when the budget runs
-    out; if no violating element is free to move (for instance p = 1 with
-    only red-target violations), the climb stops early.
+    `COOLING`), and the trace may increase.  Stops at zero violations or
+    when the budget runs out; if no violating element is free to move (for
+    instance p = 1 with only red-target violations), the climb stops early.
+    A result with zero violations, the start included, is re-checked from
+    its labels by the sumset verifier, `cube.verify_group_representation`,
+    which shares no counting code with the climb; a bookkeeping divergence
+    raises RuntimeError.  The `layer_sums` of the base, when given, spare
+    the climb's setup their five transforms.
     """
     if budget < 0:
         raise ValueError("budget >= 0 required")
-    engine = _ClimbEngine(s, spec)
+    engine = _ClimbEngine(s, spec, sums)
     count = engine.violation_count()
     trace: list[tuple[int, int]] = []
-    if count == 0:
-        return s, trace
     rng = random.Random(seed)
     temp = START_TEMP
-    pool = np.nonzero(engine.move_pool())[0]
+    pool = np.nonzero(engine.move_pool())[0] if count else np.empty(0, dtype=np.intp)
     for move in range(budget):
         if count == 0 or pool.size == 0:
             break
@@ -588,9 +594,11 @@ def hill_climb(
             temp *= COOLING
     final = engine.to_state(s.seed)
     del engine  # its count rows are not needed by the re-check below
-    # count 0 includes no empty part, so the split is a coloring
-    if count == 0 and not cube.verify_group_representation(final.to_coloring(), spec).ok:
-        raise RuntimeError("incremental bookkeeping diverged from the sumset verifier")
+    if count == 0:
+        parts = final.parts()
+        if not (all(parts.values()) and cube.verify_group_representation(
+                GroupColoring(final.base.m, parts), spec).ok):
+            raise RuntimeError("incremental bookkeeping diverged from the sumset verifier")
     return final, trace
 
 
@@ -620,9 +628,9 @@ def iter_trials(
     Trial t draws `random_split` at `trial_seed(seed, t)`, so the results
     are independent of execution order and identical across platforms.
     With a `budget`, each split is first repaired by `hill_climb` under the
-    same seed.  A trial is solved when `violations` finds nothing; the
-    loop's `layer_sums` spare each report five of its transforms at
-    (p, q) = (1, 2).
+    same seed.  A trial is solved when `violations` finds nothing.  The
+    loop computes the `layer_sums` of `part` once and hands them to every
+    climb and report, sparing each five transforms.
     """
     if trials < 1:
         raise ValueError("trials >= 1 required")
@@ -632,7 +640,7 @@ def iter_trials(
         ts = trial_seed(seed, t)
         state = random_split(part, p, q, ts)
         if budget is not None:
-            state, _trace = hill_climb(state, spec, budget, ts, anneal=anneal)
+            state, _trace = hill_climb(state, spec, budget, ts, anneal=anneal, sums=sums)
         report = violations(state, spec, sums=sums)
         yield TrialResult(t, ts, report.count, report.solved), state
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from redblue.algebra import AlgebraSpec, NeedPair, blue, is_mandatory, red, union_bound_failure
-from redblue.cube import CubeSubset, LayerPartition, pair_counts_naive
+from redblue.cube import CubeSubset, LayerPartition, pair_counts, pair_counts_naive
 from redblue.cube import layer_partition, verify_group_representation, walsh_hadamard
 from redblue.search import (
     SEARCH_CSV_HEADER,
@@ -185,8 +185,10 @@ def test_counts_from_layer_sums_match_both_routes(shape, variant):
         base = LayerPartition(base.k, base.R - point, base.B | point)
         labels[x] = p
     state = SplitState(base, p, q, seed, labels=labels)
-    direct = _counts(state, spec, naive=False)
+    parts = list(state.parts().values())  # the direct route: one convolution per pair
+    direct = np.stack([pair_counts(parts[a], parts[b]) for a, b in search._rule_table(spec).unordered])
     assert np.array_equal(_counts(state, spec, naive=False, sums=layer_sums(base)), direct)
+    assert np.array_equal(_counts(state, spec, naive=False), direct)
     assert np.array_equal(_counts(state, spec, naive=True), direct)
     if variant == "moved":  # sums of another partition are refused
         with pytest.raises(ValueError):
@@ -345,6 +347,21 @@ def test_hill_climb_success_is_rechecked(part2, monkeypatch):
         hill_climb(random_split(part2, 1, 2, 7), TWO_BLUE, budget=100, seed=2)
 
 
+@pytest.mark.parametrize("emptied", [False, True])
+def test_hill_climb_start_is_rechecked(part2, monkeypatch, emptied):
+    # an engine that calls every split solved, from its first count on; the
+    # start is unsolved, or has an empty part the engine does not see
+    state = random_split(part2, 1, 2, 7)
+    if emptied:
+        labels = state.labels.copy()
+        labels[labels == 2] = 1
+        state = SplitState(part2, 1, 2, 7, labels=labels)
+    assert not violations(state, TWO_BLUE).solved
+    monkeypatch.setattr(_ClimbEngine, "violation_count", lambda engine: 0)
+    with pytest.raises(RuntimeError, match="diverged"):
+        hill_climb(state, TWO_BLUE, budget=100, seed=2)
+
+
 def test_hill_climb_budget_zero_returns_start(part2):
     state = random_split(part2, 1, 2, 7)
     final, trace = hill_climb(state, TWO_BLUE, budget=0, seed=0)
@@ -428,7 +445,8 @@ def test_iter_trials_repairs_with_a_budget(part2, anneal):
 
 def test_trial_loop_transform_count(part2, monkeypatch):
     """The loop's layer sums take 5 transforms and each (1, 2) trial 4
-    more; a report without them takes 3 forward and 6 inverse."""
+    more; a report or a climb's setup without them takes 9, as many as
+    3 forward and 6 inverse."""
     calls = []
 
     def counted(vec):
@@ -440,8 +458,16 @@ def test_trial_loop_transform_count(part2, monkeypatch):
     monte_carlo(part2, 1, 2, trials, 3)
     assert len(calls) == 5 + 4 * trials
     calls.clear()
-    violations(random_split(part2, 1, 2, 7), TWO_BLUE)
+    state = random_split(part2, 1, 2, 7)
+    violations(state, TWO_BLUE)
     assert len(calls) == 9
+    calls.clear()
+    _ClimbEngine(state, TWO_BLUE)
+    assert len(calls) == 9
+    sums = layer_sums(part2)
+    calls.clear()
+    _ClimbEngine(state, TWO_BLUE, sums)
+    assert len(calls) == 4
 
 
 def test_monte_carlo_rejects_zero_trials(part1):
