@@ -2,11 +2,13 @@
 
 The group G = (Z/2Z)^m is the integers [0, 2^m) under XOR.  A subset is a
 single 2^m-bit Python integer whose bit z records membership of z, which
-makes sumsets word-parallel and keeps every count exact.  A sumset carries
-one operand's mask along a Gray-code walk of the other, one butterfly pass
-per bit that changes between consecutive elements, and stops as soon as it
-holds every element a sumset of the two can hold; the verifier uses only
-this route, so it stays independent of the counts below.  Witness counting
+makes sumsets word-parallel and keeps every count exact.  A sumset splits
+each element of one operand into a bit position inside a 64-bit word and a
+word index: it carries the other operand's mask along a Gray-code walk of
+the bit positions, one butterfly pass per changed bit, gathers the word
+translates of each carried mask with numpy, and stops as soon as it holds
+every element a sumset of the two can hold; the verifier uses only this
+route, so it stays independent of the counts below.  Witness counting
 (how many ordered pairs (x, y) in X x Y satisfy x XOR y = z) has two
 independent implementations: a vectorized naive enumeration, and the
 Walsh-Hadamard transform route, which diagonalizes XOR convolution.  Their
@@ -192,20 +194,42 @@ def singleton(m: int, x: int) -> CubeSubset:
     return CubeSubset.from_elements(m, (x,))
 
 
+GATHER_BLOCK_WORDS = 1 << 16  # words per gather block: 512 KiB of uint64 plus their int64 indices
+_WORD_BITS = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
+_GRAY6 = [g ^ (g >> 1) for g in range(64)]  # bit positions in a word, reflected Gray order
+
+
+def _words(mask: int, m: int) -> np.ndarray:
+    """A 2^m-bit mask as read-only little-endian uint64 words (one if m < 6)."""
+    nwords = max(1, (1 << m) >> 6)
+    return np.frombuffer(mask.to_bytes(8 * nwords, "little"), dtype="<u8")
+
+
+def _or_of_word_translates(words: np.ndarray, his: np.ndarray) -> np.ndarray:
+    """OR over h in `his` of the word array translated by h: word w of the
+    h-translate is words[w XOR h]."""
+    idx = np.arange(len(words))
+    return np.bitwise_or.reduce(words[idx ^ his[:, None]], axis=0)
+
+
 def sumset(x: CubeSubset, y: CubeSubset) -> CubeSubset:
     """The XOR sumset {a XOR b : a in x, b in y}.
 
-    Walks the smaller operand in reflected Gray-code order and carries the
-    larger operand's mask along: going from element `prev` to `e`
-    translates the running mask by `e XOR prev`, one butterfly pass over
-    the 2^m-bit integer per set bit.  The cost is the summed popcount of
-    consecutive XORs: on the k = 5 layer parts, 1.1 passes per element of
-    R and 1.8 per element of a blue part, where translating from 0 each
-    time costs 7.6 and 11.5.  The walk stops once the union reaches the
-    largest possible sumset: the whole group when the operands intersect
-    (0 = a XOR a is then in it), the group minus 0 when they are disjoint.
-    The stop is exact, and dense sums such as R+R reach it after a few
-    translations.
+    Splits each element e of the smaller operand into its low six bits, a
+    bit position inside a 64-bit word, and its word index e >> 6, since
+    translating by e permutes the bits inside every word by the low part
+    and then the words by the index.  The walk visits the distinct low
+    parts (at most 64) in reflected Gray-code order and carries the larger
+    operand's mask along, one butterfly pass over the 2^m-bit integer per
+    changed bit.  Each carried mask, viewed as uint64 words, is then
+    translated by the word index of every element with that low part with
+    one numpy gather and OR-reduce, in blocks of at most
+    `GATHER_BLOCK_WORDS` gathered words (a block holds one translate when
+    a single one is larger).  After each block the walk stops if the union has reached
+    the largest possible sumset: the whole group when the operands
+    intersect (0 = a XOR a is then in it), the group minus 0 when they are
+    disjoint.  The stop is exact, and dense sums such as R+R reach it
+    after the first block.
     """
     x._require_same_dim(y)
     m = x.m
@@ -215,17 +239,23 @@ def sumset(x: CubeSubset, y: CubeSubset) -> CubeSubset:
     bound = CubeSubset.full(m)
     if x.isdisjoint(y):
         bound = bound.without_zero()
-    gray = np.arange(1 << m)
-    gray ^= gray >> 1  # every element of G, in reflected Gray-code order
-    out = 0
+    top = _words(bound.mask, m)
+    small_words = _words(small.mask, m)
+    rows = max(1, GATHER_BLOCK_WORDS // len(top))
+    out = np.zeros_like(top)
     mask, prev = large.mask, 0
-    for e in gray[small.indicator()[gray] != 0].tolist():
-        mask = _xor_translate(mask, e ^ prev, m)
-        prev = e
-        out |= mask
-        if out == bound.mask:
-            break
-    return CubeSubset(m, out)
+    for lo in _GRAY6:
+        his = np.flatnonzero(small_words & _WORD_BITS[lo])
+        if not his.size:
+            continue
+        mask = _xor_translate(mask, lo ^ prev, m)
+        prev = lo
+        words = _words(mask, m)
+        for start in range(0, len(his), rows):
+            out |= _or_of_word_translates(words, his[start : start + rows])
+            if np.array_equal(out, top):
+                return bound
+    return CubeSubset(m, int.from_bytes(out.tobytes(), "little"))
 
 
 # ---------------------------------------------------------------------------

@@ -171,9 +171,14 @@ class SplitState:
         return GroupColoring(self.base.m, self.parts())
 
 
+@lru_cache(maxsize=4)
 def _layers(base: LayerPartition) -> tuple[np.ndarray, np.ndarray]:
-    """Boolean indicators of the red and blue layers."""
-    return base.R.indicator().astype(bool), base.B.indicator().astype(bool)
+    """Boolean indicators of the red and blue layers, read-only and computed
+    once per partition: every split of a trial loop shares them."""
+    layers = base.R.indicator().astype(bool), base.B.indicator().astype(bool)
+    for layer in layers:
+        layer.flags.writeable = False
+    return layers
 
 
 def random_split(part: LayerPartition, p: int, q: int, seed: int) -> SplitState:

@@ -113,9 +113,41 @@ def test_sumset_monotone(a, b):
     assert sumset(sa, sb).issubset(grown)
 
 
+WIDE_SHAPES = ("one-low", "one-word", "spread")
+
+
+def _wide_operand(draw, m: int, shape: str) -> set:
+    # a nonempty subset of a cube of several 64-bit words: every element
+    # with one low part (bit position in a word), all inside one word, or
+    # anywhere
+    words = (1 << m) >> 6
+    if shape == "one-low":
+        lo = draw(st.integers(min_value=0, max_value=63))
+        his = draw(st.sets(st.integers(min_value=0, max_value=words - 1), min_size=1))
+        return {h << 6 | lo for h in his}
+    if shape == "one-word":
+        w = draw(st.integers(min_value=0, max_value=words - 1))
+        return {w << 6 | lo for lo in draw(st.sets(st.integers(0, 63), min_size=1))}
+    return draw(st.sets(st.integers(0, (1 << m) - 1), min_size=1, max_size=200))
+
+
+@pytest.mark.parametrize("shape", WIDE_SHAPES)
+@given(data=st.data())
+def test_sumset_past_one_word(shape, data):
+    # m = 7..10 holds 2..16 words, so every word index translate is exercised
+    m = data.draw(st.integers(min_value=7, max_value=10))
+    xs = _wide_operand(data.draw, m, shape)
+    ys = _wide_operand(data.draw, m, data.draw(st.sampled_from(WIDE_SHAPES)))
+    sa, sb = CubeSubset.from_elements(m, xs), CubeSubset.from_elements(m, ys)
+    got = sumset(sa, sb)
+    assert set(got.elements()) == brute_sumset(m, xs, ys)
+    assert got == support(pair_counts_naive(sa, sb), m)
+    assert sumset(sb, sa) == got
+
+
 @st.composite
 def dense_operands(draw, kind):
-    m = draw(st.integers(min_value=2, max_value=7))
+    m = draw(st.integers(min_value=2, max_value=9))
     n = 1 << m
     group = set(range(n))
     holes = st.sets(st.integers(min_value=0, max_value=n - 1), max_size=n // 4)
@@ -134,22 +166,32 @@ def dense_operands(draw, kind):
 
 @pytest.mark.parametrize("kind", ["intersect", "disjoint", "subgroup"])
 @given(data=st.data())
+@settings(deadline=None)
 def test_sumset_saturation_stop(kind, data):
+    # the walk takes one gather block per distinct low part of the smaller
+    # operand (every word index of a low part fits one block up to m = 9),
+    # or one per element when a block holds a single translate
     m, xs, ys = data.draw(dense_operands(kind))
     sa, sb = CubeSubset.from_elements(m, xs), CubeSubset.from_elements(m, ys)
-    walked = min(len(xs), len(ys))
-    with mock.patch.object(cube, "_xor_translate", wraps=cube._xor_translate) as spy:
-        got = sumset(sa, sb)
-    assert set(got.elements()) == brute_sumset(m, xs, ys)
-    assert got == support(pair_counts_naive(sa, sb), m)
-    everything = CubeSubset.full(m)
-    if kind == "intersect":
-        assert got == everything and spy.call_count < walked
-    elif kind == "disjoint":
-        assert got == everything.without_zero() and spy.call_count <= walked
-    else:
-        assert got.issubset(CubeSubset.from_elements(m, range(1 << (m - 1))))
-        assert spy.call_count == walked
+    small = xs if len(xs) <= len(ys) else ys
+    gather = cube._or_of_word_translates
+    for budget, blocks in (
+        (cube.GATHER_BLOCK_WORDS, len({e & 63 for e in small})),
+        (1, len(small)),
+    ):
+        with mock.patch.object(cube, "GATHER_BLOCK_WORDS", budget), \
+                mock.patch.object(cube, "_or_of_word_translates", wraps=gather) as spy:
+            got = sumset(sa, sb)
+        assert set(got.elements()) == brute_sumset(m, xs, ys)
+        assert got == support(pair_counts_naive(sa, sb), m)
+        everything = CubeSubset.full(m)
+        if kind == "intersect":
+            assert got == everything and spy.call_count < blocks
+        elif kind == "disjoint":
+            assert got == everything.without_zero() and spy.call_count <= blocks
+        else:
+            assert got.issubset(CubeSubset.from_elements(m, range(1 << (m - 1))))
+            assert spy.call_count == blocks
 
 
 @given(subsets, subsets)

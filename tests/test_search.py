@@ -3,6 +3,7 @@
 import hashlib
 import random
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -244,6 +245,22 @@ def test_split_labels_are_read_only(part2):
     red_assign = state.red_assign
     red_assign[next(iter(red_assign))] = 5  # a copy: the state is unchanged
     assert state.red_assign == random_split(part2, 1, 2, 7).red_assign
+
+
+def test_layer_indicators_computed_once_per_partition(part2):
+    # random_split, SplitState's label check and layer_sums share one pair
+    # of read-only layer indicators per partition
+    search._layers.cache_clear()
+    with mock.patch.object(CubeSubset, "indicator", autospec=True,
+                           side_effect=CubeSubset.indicator) as spy:
+        states = [random_split(part2, 1, 2, seed) for seed in range(3)]
+        layer_sums(part2)
+        SplitState(part2, 1, 2, 0, labels=states[0].labels)
+    assert spy.call_count == 2
+    red_layer, blue_layer = search._layers(part2)
+    assert not red_layer.flags.writeable and not blue_layer.flags.writeable
+    with pytest.raises(ValueError):
+        SplitState(part2, 1, 2, 0, labels=np.where(red_layer, 1, states[0].labels))
 
 
 # ---------------------------------------------------------------------------
@@ -560,6 +577,32 @@ def test_sumset_verifier_at_k5(part5):
     assert not violations(moved, TWO_BLUE).solved
     result = verify_group_representation(moved.to_coloring(), TWO_BLUE, collect_all=True)
     assert not result.ok and result.violations
+
+
+# (input, number of violations, sha256 of their strings joined by newlines),
+# recorded from the element-by-element Gray walk that the word gathers
+# replaced: the same violations with the same minimum elements
+PINNED_VERIFIER_REPORTS = [
+    ("k5-moved", 7, "c87fda8b045e131f6a99865bd45c6346d3c5ca212c1fefa7156caf8013205312"),
+    ("k4-random", 3, "f1b0ba78a6c953c5f03ec93b15ecdcc353e7b141e84f824cbe94bbbac8ee93a3"),
+]
+
+
+@pytest.mark.parametrize("case, count, digest", PINNED_VERIFIER_REPORTS)
+def test_sumset_verifier_reports_pinned(case, count, digest, part4, part5):
+    if case == "k5-moved":
+        # the first solved (1, 2) split at k = 5 (seed 0), one red element
+        # moved into b1, as in test_sumset_verifier_at_k5
+        solved = random_split(part5, 1, 2, 0)
+        assert violations(solved, TWO_BLUE).solved
+        state, spec = _red_moved_to_blue(solved, 0, 0), TWO_BLUE
+    else:
+        state, spec = random_split(part4, 1, 3, 0), AlgebraSpec(1, 3)
+        assert not violations(state, spec).solved
+    result = verify_group_representation(state.to_coloring(), spec, collect_all=True)
+    text = "\n".join(str(v) for v in result.violations)
+    assert not result.ok
+    assert (len(result.violations), hashlib.sha256(text.encode()).hexdigest()) == (count, digest)
 
 
 # ---------------------------------------------------------------------------
