@@ -15,7 +15,9 @@ it (`_broken`).  `iter_trials` is the one trial loop, with or without
 repair; `monte_carlo` tallies it.  The transform route derives the last
 part of each layer, and the count rows of two last parts, from the two
 layers' transforms (`layer_sums`) by subtraction; the trial loop computes
-those once and hands them to every report and climb.
+those once and hands them to every report and climb.  The climber scores
+each proposed move from its kept counts before making it, and keeps the
+pool of elements to move up to date from the tally entries that changed.
 """
 
 from __future__ import annotations
@@ -431,10 +433,14 @@ class _ClimbEngine:
     elements D; only the positions where such a count crosses zero are
     re-judged, by the `leave_zero` column of the spec's `_rule_table`, and
     e itself is re-scored under its new label by `_broken`.
-    `violation_count` is the running total plus one per empty part, and
-    `move_pool` XOR-convolves the tallies with the layer indicators, whose
-    transforms are the `layer_sums` of the base, a few transforms per call
-    however many violations there are.
+    `violation_count` is the running total plus one per empty part;
+    `count_after` reads the same number for a proposed move from the kept
+    counts and writes nothing, so a rejected move costs no update.
+    `move_pool` keeps each movable layer's reach, the XOR convolution of
+    the tallies with the layer indicators: the first call takes a few
+    transforms (the layers' own are the `layer_sums` of the base), and
+    each later call adds the layer translates of the tally entries that
+    changed since.
     """
 
     def __init__(self, state: SplitState, spec: AlgebraSpec, sums: LayerSums | None = None):
@@ -453,6 +459,8 @@ class _ClimbEngine:
         self.total = int(self.tally.sum())
         self.layers = (self.labels >= 0) & (self.labels < self.p), self.labels >= self.p
         self.layer_hat = sums.fwd
+        self.reach: dict[int, np.ndarray] = {}  # movable layer -> its reach, once computed
+        self.reached = np.empty_like(self.tally)  # the tally the reach is of
 
     def _score(self, at: int | np.ndarray) -> np.ndarray:
         """Rules broken at labeled position(s) `at`, per layer group."""
@@ -498,6 +506,35 @@ class _ClimbEngine:
     def violation_count(self) -> int:
         return self.total + sum(xs.size == 0 for xs in self.members)
 
+    def count_after(self, e: int, old: ColorId, new: ColorId) -> int:
+        """`violation_count()` after moving e from its color `old` to another
+        color `new`, read from the kept counts; nothing is written.
+
+        Taking e out of `old` changes row {old, d} at (D without e) XOR e,
+        and putting it into `new` changes row {new, d} there.  The two
+        sets of (row, position) pairs are disjoint, so their `leave_zero`
+        changes add, each judged against today's counts.  The member list
+        of `old` still holds e, whose term lands on position 0: labeled -1,
+        it is never tallied.  e's own count column does not change, since
+        0 is in no part, so e is re-scored under `new` as it stands.
+        """
+        table = self.table
+        a, b = self.spec.color_index(old), self.spec.color_index(new)
+        count = self.total - int(self.tally[:, e].sum())
+        for d, xs in enumerate(self.members):
+            z = xs ^ e
+            # the count a row must have to reach 0 as e leaves, or leave it as e joins
+            for code, sign, zero in ((a, -1, 2 if d == a else 1), (b, 1, 0)):
+                u = table.row[code, d]
+                crossed = z[self.counts[u][z] == zero]
+                if crossed.size:
+                    count += sign * int(table.leave_zero[u, self.labels[crossed]].sum())
+        count += int((table.weights @ ((self.counts[:, e] == 0) == table.need[b])).sum())
+        sizes = [xs.size for xs in self.members]
+        sizes[a] -= 1
+        sizes[b] += 1
+        return count + sizes.count(0)
+
     def unsatisfied_items(self) -> list[tuple[int, NeedPair]]:
         """Every broken rule as (element, pair), unsatisfied and forbidden."""
         unsat, forbid = _entries(self.table, self.counts, self.labels)
@@ -508,18 +545,36 @@ class _ClimbEngine:
 
         x is implicated when it breaks a rule itself, or when a rule on a
         pair of colors is broken at z and x, x XOR z lie in the layers of
-        those colors.  For x in layer A that is a nonzero XOR convolution
-        of tally row A + L with layer L's indicator, for L = R or B, so one
-        inverse transform per movable layer finds them all.
+        those colors.  For x in layer A that is a nonzero reach: the XOR
+        convolution of tally row A + L with layer L's indicator, summed
+        over L = R and B.  The first call computes it with transforms,
+        scaled down by 2^m to exact counts.  Each later call adds the change
+        of every tally entry since the call before over layer L translated
+        by the entry's position, so a pool costs a few whole-cube passes
+        plus one per changed entry.
         """
         movable = [at for at, parts in enumerate((self.p, self.q)) if parts > 1]
-        rows = {at + layer for at in movable for layer in (0, 1)}
-        hat = {g: walsh_hadamard(self.tally[g]) for g in rows}
+        if not self.reach:
+            rows = {at + layer for at in movable for layer in (0, 1)}
+            hat = {g: walsh_hadamard(self.tally[g]) for g in rows}
+            for at in movable:
+                both = hat[at] * self.layer_hat[0] + hat[at + 1] * self.layer_hat[1]
+                self.reach[at] = walsh_hadamard(both) >> self.base.m
+        else:
+            n = self.tally.shape[1]
+            changed = np.flatnonzero(self.tally != self.reached)
+            deltas = self.tally.flat[changed] - self.reached.flat[changed]
+            for f, delta in zip(changed.tolist(), deltas.tolist()):
+                g, z = divmod(f, n)
+                for at in movable:
+                    if 0 <= g - at <= 1:  # tally row g pairs layer `at` with layer g - at
+                        translate = self.layers[g - at][np.arange(n) ^ z]
+                        np.add(self.reach[at], delta, out=self.reach[at], where=translate)
+        np.copyto(self.reached, self.tally)
         broken = self.tally.any(axis=0)
         pool = np.zeros_like(broken)
         for at in movable:
-            reach = walsh_hadamard(hat[at] * self.layer_hat[0] + hat[at + 1] * self.layer_hat[1])
-            pool |= self.layers[at] & (broken | (reach != 0))
+            pool |= self.layers[at] & (broken | (self.reach[at] != 0))
         return pool
 
     def color_of(self, e: int) -> ColorId:
@@ -556,6 +611,9 @@ def hill_climb(
     potential witness) to a uniformly drawn other part of its layer.
     Moves are accepted when the violation count does not increase, so the
     trace of (move index, count) at each accepted move is nonincreasing.
+    A proposal is scored from the engine's kept counts (`count_after`)
+    and applied only when accepted; the count recorded is then the
+    engine's own.
     With `anneal`, uphill moves are also accepted with probability
     exp(-delta/T) under a geometric cooling schedule (`START_TEMP`,
     `COOLING`), and the trace may increase.  Stops at zero violations or
@@ -582,19 +640,16 @@ def hill_climb(
         old = engine.color_of(e)
         options = [c for c in engine.options_for(e) if c != old]
         new = options[rng.randrange(len(options))]
-        engine.remove(old, e)
-        engine.add(new, e)
-        candidate = engine.violation_count()
+        candidate = engine.count_after(e, old, new)
         accept = candidate <= count
         if not accept and anneal and temp > 1e-12:
             accept = rng.random() < np.exp(-(candidate - count) / temp)
         if accept:
-            count = candidate
+            engine.remove(old, e)
+            engine.add(new, e)
+            count = engine.violation_count()
             trace.append((move, count))
             pool = np.nonzero(engine.move_pool())[0]
-        else:
-            engine.remove(new, e)
-            engine.add(old, e)
         if anneal:
             temp *= COOLING
     final = engine.to_state(s.seed)

@@ -9,7 +9,6 @@ implementation, and they pin those merges to the earlier output bytes.
 import contextlib
 import hashlib
 import io
-import os
 
 import pytest
 
@@ -71,11 +70,8 @@ def test_cli_golden(argv, code, digest):
     assert _cli_digest(argv.split()) == (code, digest)
 
 
-@pytest.mark.skipif(
-    not os.environ.get("REDBLUE_EXTENDED"),
-    reason="about 90 s of full-budget hill climbing; set REDBLUE_EXTENDED=1 to run",
-)
 def test_cli_golden_full_budget_hill():
+    # two unsolved trials that each spend the default budget of 100,000 moves
     argv = "search --k 2 --p 1 --q 3 --hill --trials 2 --seed 5".split()
     assert _cli_digest(argv) == (
         0, "ee3527e3025117fd319865b4cbe354d3499ae7867a8778a7e5d6d901c932c79d"

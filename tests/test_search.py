@@ -711,3 +711,74 @@ def test_engine_tallies_match_fresh_recount(shape, k, seed):
         move(e, options[rng.randrange(len(options))])
         if rng.random() < 0.5:  # rejected: undo it
             move(e, old)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([(1, 2), (1, 3), (2, 2), (3, 2)]),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_count_after_scores_without_writing(shape, k, seed):
+    p, q = shape
+    spec = AlgebraSpec(p, q)
+    part = layer_partition(k)
+    rng = random.Random(seed)
+    # shrink the last blue part to one element, so that moves empty it and fill it
+    labels = random_split(part, p, q, seed).labels.copy()
+    blues = np.flatnonzero(labels >= p)
+    labels[labels == p + q - 1] = p
+    lone = int(blues[rng.randrange(blues.size)])
+    labels[lone] = p + q - 1
+    engine = _ClimbEngine(SplitState(part, p, q, seed, labels=labels), spec)
+
+    def propose(e, new):
+        old = engine.color_of(e)
+        kept = (engine.labels.copy(), engine.counts.copy(), engine.tally.copy(),
+                [xs.copy() for xs in engine.members], engine.total)
+        score = engine.count_after(e, old, new)
+        assert np.array_equal(engine.labels, kept[0])
+        assert np.array_equal(engine.counts, kept[1])
+        assert np.array_equal(engine.tally, kept[2])
+        assert all(map(np.array_equal, engine.members, kept[3]))
+        assert engine.total == kept[4]
+        engine.remove(old, e)
+        engine.add(new, e)
+        assert score == engine.violation_count() == violations(engine.to_state(0), spec).count
+
+    last = spec.color_at(p + q - 1)
+    propose(lone, spec.color_at(p))  # empties the last blue part
+    propose(int(blues[rng.randrange(blues.size)]), last)  # fills it again
+    movable = np.flatnonzero(labels >= (0 if p > 1 else p))  # p = 1 pins the red layer
+    for _ in range(8):
+        e = int(movable[rng.randrange(movable.size)])
+        old = engine.color_of(e)
+        propose(e, rng.choice([c for c in engine.options_for(e) if c != old]))
+        if rng.random() < 0.5:  # and back
+            propose(e, old)
+
+
+@pytest.mark.parametrize("shape, budget", [((1, 3), 10_000), ((2, 2), 3000)])
+def test_move_pool_stays_exact_over_a_long_climb(part3, monkeypatch, shape, budget):
+    # every 25th pool of an annealed climb, built incrementally from the
+    # first, against the reference and against a fresh engine's first pool
+    p, q = shape
+    spec = AlgebraSpec(p, q)
+    kept_pool = _ClimbEngine.move_pool
+    pools = []
+
+    def checked_pool(engine):
+        pool = kept_pool(engine)
+        pools.append(None)
+        if len(pools) % 25 == 0:
+            state = engine.to_state(0)
+            fresh = violations(state, spec)
+            reference = _reference_move_pool(part3, p, q, fresh.unsatisfied + fresh.forbidden)
+            assert np.array_equal(pool, reference)
+            assert np.array_equal(pool, kept_pool(_ClimbEngine(state, spec)))
+        return pool
+
+    monkeypatch.setattr(_ClimbEngine, "move_pool", checked_pool)
+    ts = trial_seed(5, 0)
+    _final, trace = hill_climb(random_split(part3, p, q, ts), spec, budget, ts, anneal=True)
+    assert len(trace) >= 300 and len(pools) == len(trace) + 1
