@@ -133,16 +133,6 @@ class AlgebraSpec:
         if self.p < 1 or self.q < 1:
             raise ValueError("need at least one red and one blue color")
 
-    @classmethod
-    def with_blues(cls, n: int) -> "AlgebraSpec":
-        """One flexible red, n blues."""
-        return cls(1, n)
-
-    @classmethod
-    def refinement(cls, n: int) -> "AlgebraSpec":
-        """n reds, n blues: both colors split n ways."""
-        return cls(n, n)
-
     @property
     def num_diversity(self) -> int:
         return self.p + self.q
@@ -194,9 +184,6 @@ class NeedPair(NamedTuple):
     first: ColorId
     second: ColorId
 
-    def swapped(self) -> "NeedPair":
-        return NeedPair(self.second, self.first)
-
 
 def is_mandatory(spec: AlgebraSpec, c1: ColorId, c2: ColorId, c3: ColorId) -> bool:
     """Whether the diversity triangle (c1, c2, c3) is mandatory.
@@ -240,24 +227,6 @@ def needs_of(spec: AlgebraSpec, c: ColorId) -> list[NeedPair]:
     ]
 
 
-def needs_of_unordered(spec: AlgebraSpec, c: ColorId) -> list[NeedPair]:
-    """Needs of c with swapped duplicates merged.
-
-    The representative of {(c1,c2), (c2,c1)} keeps the smaller color first.
-    Exposed alongside the ordered convention because witness counts for a
-    pair and its swap coincide in the groups used here, so either convention
-    supports the same probability bounds.
-    """
-    seen: set[NeedPair] = set()
-    out = []
-    for pair in needs_of(spec, c):
-        rep = pair if pair.first.sort_key() <= pair.second.sort_key() else pair.swapped()
-        if rep not in seen:
-            seen.add(rep)
-            out.append(rep)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # closed-form bounds
 # ---------------------------------------------------------------------------
@@ -268,21 +237,6 @@ def lower_bound_points(n: int) -> int:
     if n < 1:
         raise ValueError("n >= 1 required")
     return 2 * n * n + 4 * n + 1
-
-
-def upper_bound_cube(n: int) -> int:
-    """Cube-layer upper bound 2^(3n+1), valid for n >= 14.
-
-    Below 14 the random-split argument behind it is not available at k = n;
-    n = 2 is covered instead by the explicit 1024-point split shipped in
-    the cube module.
-    """
-    if n < 14:
-        raise ValueError(
-            "2^(3n+1) is only claimed for n >= 14; for n = 2 use the "
-            "explicit 1024-point split (embedded_split_1024)"
-        )
-    return 1 << (3 * n + 1)
 
 
 @dataclass(frozen=True, slots=True)

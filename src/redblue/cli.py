@@ -225,7 +225,7 @@ def cmd_witnesses(args: argparse.Namespace) -> int:
     m = 3 * args.k + 1
     _check_memory(args, 6 * 8 * (1 << m), f"transforms at m={m}")
     part = layer_partition(args.k)
-    stats = witness_minima(part, k_cap=args.k)
+    stats = witness_minima(part)
     floor = 1 << args.k
     all_pass = all(st.min_count >= floor for st in stats.values())
 

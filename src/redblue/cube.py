@@ -391,7 +391,7 @@ WITNESS_CASES: tuple[tuple[str, str, str, str], ...] = (
 )
 
 
-def witness_minima(part: LayerPartition, k_cap: int = 5) -> dict[str, WitnessStat]:
+def witness_minima(part: LayerPartition) -> dict[str, WitnessStat]:
     """Minimum witness multiplicities for the five coarse coverage cases.
 
     For each case "T<=L+Rt" the value is min over z in T of the exact count
@@ -400,8 +400,6 @@ def witness_minima(part: LayerPartition, k_cap: int = 5) -> dict[str, WitnessSta
     an n-way random split of the layers succeed with positive probability
     once 2^k outruns n^2.
     """
-    if part.k > k_cap:
-        raise ResourceLimitError(f"k={part.k} exceeds cap {k_cap}; raise k_cap to force")
     layers = {"R": part.R, "B": part.B}
     out: dict[str, WitnessStat] = {}
     for label, target, left, right in WITNESS_CASES:

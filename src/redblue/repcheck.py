@@ -245,14 +245,14 @@ def mandatory_configuration(n: int, k6: bool = False) -> MandatoryConfig:
     if k6 and n != 2:
         raise ValueError("the red six-clique extension is defined for n = 2 only")
     V = 2 + n * n + 2 * n + (2 if k6 else 0)
-    coloring = EdgeColoring(V)
-    roles: dict[int, Role] = {0: Role("endpoint0"), 1: Role("endpoint1")}
+    config = MandatoryConfig(n, EdgeColoring(V), {0: Role("endpoint0"), 1: Role("endpoint1")})
+    coloring, roles = config.coloring, config.roles
     coloring.set_color(0, 1, red(0))
 
     bb: list[int] = []
     for i in range(1, n + 1):
         for j in range(1, n + 1):
-            v = 2 + (i - 1) * n + (j - 1)
+            v = config.bb_vertex(i, j)
             roles[v] = Role("bb", i, j)
             bb.append(v)
             coloring.set_color(0, v, blue(i - 1))
@@ -260,7 +260,7 @@ def mandatory_configuration(n: int, k6: bool = False) -> MandatoryConfig:
     rb: list[int] = []
     for side in (0, 1):
         for i in range(1, n + 1):
-            v = 2 + n * n + side * n + (i - 1)
+            v = config.rb_vertex(side, i)
             roles[v] = Role(f"rb{side}", i)
             rb.append(v)
             if side == 0:
@@ -284,7 +284,7 @@ def mandatory_configuration(n: int, k6: bool = False) -> MandatoryConfig:
             for b in clique:
                 if a < b and coloring.color_of(a, b) is None:
                     coloring.set_color(a, b, red(0))
-    return MandatoryConfig(n, coloring, roles)
+    return config
 
 
 @dataclass(frozen=True)
@@ -294,10 +294,6 @@ class NeedsDeficit:
     edge: Edge
     satisfied: dict[NeedPair, tuple[int, ...]]  # need -> witness vertices
     unsatisfied: tuple[NeedPair, ...]
-
-    @property
-    def unsatisfied_count(self) -> int:
-        return len(self.unsatisfied)
 
 
 def needs_deficit(config: MandatoryConfig, i: int, j: int) -> NeedsDeficit:

@@ -1,58 +1,1 @@
 """SAT encodings, DIMACS plumbing, and solver drivers."""
-
-from .dimacs import parse_dimacs, to_dimacs
-from .encode import (
-    ClauseGroup,
-    CnfFormula,
-    VarMap,
-    VARIANTS,
-    all_edges_formula,
-    build_formula,
-    decode_model,
-    exactly_one_clauses,
-    free_edge_clauses,
-    need_clauses,
-    precolor_clauses,
-    triangle_clauses,
-)
-from .solve import (
-    DPLL_VAR_CAP,
-    SAT,
-    SOLVER_ENV_VAR,
-    UNKNOWN,
-    UNSAT,
-    SolveOutcome,
-    SolverUnavailableError,
-    default_solver,
-    dpll,
-    enumerate_models,
-    solve,
-)
-
-__all__ = [
-    "ClauseGroup",
-    "CnfFormula",
-    "DPLL_VAR_CAP",
-    "SAT",
-    "SOLVER_ENV_VAR",
-    "UNKNOWN",
-    "UNSAT",
-    "SolveOutcome",
-    "SolverUnavailableError",
-    "VARIANTS",
-    "VarMap",
-    "all_edges_formula",
-    "build_formula",
-    "decode_model",
-    "default_solver",
-    "dpll",
-    "enumerate_models",
-    "exactly_one_clauses",
-    "free_edge_clauses",
-    "need_clauses",
-    "parse_dimacs",
-    "precolor_clauses",
-    "solve",
-    "to_dimacs",
-    "triangle_clauses",
-]

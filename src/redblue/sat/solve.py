@@ -110,13 +110,12 @@ def solve(
     formula: CnfFormula,
     solver: str | None = None,
     timeout: float = 3600.0,
-    dpll_cap: int = DPLL_VAR_CAP,
 ) -> SolveOutcome:
     """Decide a formula with the configured solver and re-certify the result.
 
     Resolution order: explicit `solver` path, then the REDBLUE_SOLVER
     environment variable, then the builtin DPLL when the variable count is
-    within `dpll_cap`.  Crashes and timeouts surface as UNKNOWN with the
+    within `DPLL_VAR_CAP`.  Crashes and timeouts surface as UNKNOWN with the
     diagnostic in `detail`; a model that fails re-verification (or decodes
     to an invalid representation when the encoding claims completeness) is
     a hard error.
@@ -124,9 +123,9 @@ def solve(
     solver = solver or default_solver()
     clauses = list(formula.clauses())
     if solver is None:
-        if formula.num_vars > dpll_cap:
+        if formula.num_vars > DPLL_VAR_CAP:
             raise SolverUnavailableError(
-                f"{formula.num_vars} variables exceed the builtin cap {dpll_cap}; "
+                f"{formula.num_vars} variables exceed the builtin cap {DPLL_VAR_CAP}; "
                 f"set {SOLVER_ENV_VAR} or pass a solver path"
             )
         start = time.perf_counter()

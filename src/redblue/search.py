@@ -85,8 +85,6 @@ class SplitState:
 
     `labels` is a read-only int8 vector over the 2^m cube elements: each
     layer element's color rank (`AlgebraSpec.color_index`), -1 elsewhere.
-    Build a state with `labels=`, or from the dicts `red_assign` and
-    `blue_assign`, which map every element of a layer to its part index.
     `seed` records how the state was drawn (0 for states built by hand)."""
 
     base: LayerPartition
@@ -101,26 +99,15 @@ class SplitState:
         p: int,
         q: int,
         seed: int,
-        red_assign: dict[int, int] | None = None,
-        blue_assign: dict[int, int] | None = None,
         *,
-        labels: np.ndarray | None = None,
+        labels: np.ndarray,
     ) -> None:
         if p < 1 or q < 1:
             raise ValueError("p, q >= 1 required")
         if p + q > np.iinfo(np.int8).max:
             raise ValueError("p + q must fit the int8 labels")
-        n = 1 << base.m
-        if labels is None and red_assign is not None and blue_assign is not None:
-            labels = np.full(n, -1, dtype=np.int64)
-            for assign, layer, offset in ((red_assign, base.R, 0), (blue_assign, base.B, p)):
-                if set(assign) != set(layer.elements()):
-                    raise ValueError("each assignment must cover exactly its layer")
-                labels[list(assign)] = np.fromiter(assign.values(), dtype=np.int64) + offset
-        elif labels is None or red_assign is not None or blue_assign is not None:
-            raise TypeError("pass either red_assign and blue_assign, or labels")
         labels = np.asarray(labels)
-        if labels.shape != (n,) or labels.dtype.kind != "i":
+        if labels.shape != (1 << base.m,) or labels.dtype.kind != "i":
             raise ValueError("labels must be a signed integer vector of length 2^m")
         red_layer, blue_layer = _layers(base)
         is_red, is_blue = (labels >= 0) & (labels < p), (labels >= p) & (labels < p + q)
@@ -157,9 +144,6 @@ class SplitState:
     def blue_assign(self) -> dict[int, int]:
         """Blue-layer element -> blue part index (a fresh dict)."""
         return self._assign(self.p, self.q)
-
-    def part_elements(self, c: ColorId) -> list[int]:
-        return np.flatnonzero(self.labels == self.spec.color_index(c)).tolist()
 
     def parts(self) -> dict[ColorId, CubeSubset]:
         """Parts as cube subsets (possibly empty ones included)."""
@@ -432,7 +416,8 @@ class _ClimbEngine:
     color c changes row {c, d} only at e XOR D, for each color d with
     elements D; only the positions where such a count crosses zero are
     re-judged, by the `leave_zero` column of the spec's `_rule_table`, and
-    e itself is re-scored under its new label by `_broken`.
+    e itself is re-scored under its new label by `_broken`.  `move`
+    makes that change for one element, out of its color and then in.
     `violation_count` is the running total plus one per empty part;
     `count_after` reads the same number for a proposed move from the kept
     counts and writes nothing, so a rejected move costs no update.
@@ -486,17 +471,16 @@ class _ClimbEngine:
                 self.total += int(delta.sum())
         self.counts[table.row[code, code], 0] += sign  # the pair (e, e)
 
-    def remove(self, c: ColorId, e: int) -> None:
-        code = self.spec.color_index(c)
+    def move(self, e: int, new: ColorId) -> None:
+        """Recolor labeled element e: count it out of its color, then into `new`."""
+        old = int(self.labels[e])
         self.total -= int(self.tally[:, e].sum())
         self.tally[:, e] = 0
         self.labels[e] = -1
-        xs = self.members[code]
-        self.members[code] = xs[xs != e]
-        self._shift(code, e, -1)
-
-    def add(self, c: ColorId, e: int) -> None:
-        code = self.spec.color_index(c)
+        xs = self.members[old]
+        self.members[old] = xs[xs != e]
+        self._shift(old, e, -1)
+        code = self.spec.color_index(new)
         self._shift(code, e, +1)
         self.labels[e] = code
         self.members[code] = np.append(self.members[code], e)
@@ -534,11 +518,6 @@ class _ClimbEngine:
         sizes[a] -= 1
         sizes[b] += 1
         return count + sizes.count(0)
-
-    def unsatisfied_items(self) -> list[tuple[int, NeedPair]]:
-        """Every broken rule as (element, pair), unsatisfied and forbidden."""
-        unsat, forbid = _entries(self.table, self.counts, self.labels)
-        return [*unsat, *forbid]
 
     def move_pool(self) -> np.ndarray:
         """Elements implicated in some violation and free to change part.
@@ -645,8 +624,7 @@ def hill_climb(
         if not accept and anneal and temp > 1e-12:
             accept = rng.random() < np.exp(-(candidate - count) / temp)
         if accept:
-            engine.remove(old, e)
-            engine.add(new, e)
+            engine.move(e, new)
             count = engine.violation_count()
             trace.append((move, count))
             pool = np.nonzero(engine.move_pool())[0]

@@ -48,13 +48,8 @@ from redblue.repcheck import (
     mandatory_configuration,
     needs_deficit,
 )
-from redblue.sat import (
-    UNSAT,
-    all_edges_formula,
-    build_formula,
-    enumerate_models,
-    solve,
-)
+from redblue.sat.encode import all_edges_formula, build_formula
+from redblue.sat.solve import UNSAT, enumerate_models, solve
 from redblue.search import (
     hill_climb,
     monte_carlo,

@@ -19,13 +19,11 @@ from redblue.algebra import (
     iter_bound_csv,
     lower_bound_points,
     needs_of,
-    needs_of_unordered,
     polynomial_regime_k,
     red,
     smallest_certifying_k,
     threshold_check,
     union_bound_failure,
-    upper_bound_cube,
 )
 from redblue.algebra import BoundRow, bound_row, union_bound_at
 
@@ -55,8 +53,6 @@ def test_spec_validation():
         AlgebraSpec(0, 1)
     with pytest.raises(ValueError):
         AlgebraSpec(1, 0)
-    assert AlgebraSpec.with_blues(5) == AlgebraSpec(1, 5)
-    assert AlgebraSpec.refinement(3) == AlgebraSpec(3, 3)
 
 
 def test_color_name_round_trip():
@@ -125,19 +121,6 @@ def test_needs_count_formula_and_symmetry(spec, data):
         assert (c2, c1) in pairs  # symmetric atoms swap freely
 
 
-@given(specs, st.data())
-def test_unordered_needs_merge_swaps(spec, data):
-    c = data.draw(diversity_color(spec))
-    ordered = set(needs_of(spec, c))
-    unordered = needs_of_unordered(spec, c)
-    assert len(set(unordered)) == len(unordered)
-    rebuilt = set()
-    for c1, c2 in unordered:
-        rebuilt.add((c1, c2))
-        rebuilt.add((c2, c1))
-    assert rebuilt == ordered
-
-
 def test_needs_reject_identity():
     with pytest.raises(ValueError):
         needs_of(ALGEBRA_TWO_BLUE, IDENTITY)
@@ -155,15 +138,6 @@ def test_lower_bound_values():
     for n in range(1, 101):
         assert lower_bound_points(n) == 2 * n * n + 4 * n + 1
         assert lower_bound_points(n) > n * n + 2 * n + 3
-
-
-def test_upper_bound_cube():
-    assert upper_bound_cube(14) == 2**43
-    assert upper_bound_cube(20) == 2**61
-    with pytest.raises(ValueError):
-        upper_bound_cube(2)
-    with pytest.raises(ValueError):
-        upper_bound_cube(13)
 
 
 def test_union_bound_exact_small_case():

@@ -7,7 +7,7 @@ import pytest
 from redblue.algebra import ALGEBRA_ONE_BLUE, blue, red
 from redblue.cli import main
 from redblue.repcheck import EdgeColoring, write_coloring
-from redblue.sat import SOLVER_ENV_VAR
+from redblue.sat.solve import SOLVER_ENV_VAR
 
 
 def run(capsys, *argv):

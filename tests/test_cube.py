@@ -279,14 +279,9 @@ def test_witness_minima_frozen_values(part1, part2, part3):
             "R<=B+R": (84, 1), "R<=R+R": (690, 31)},
     }
     for k, part in ((1, part1), (2, part2), (3, part3)):
-        stats = witness_minima(part, k_cap=k)
+        stats = witness_minima(part)
         assert {label: tuple(s) for label, s in stats.items()} == expected[k]
         assert all(s.min_count >= 1 << k for s in stats.values())
-
-
-def test_witness_minima_cap():
-    with pytest.raises(ResourceLimitError):
-        witness_minima(layer_partition(6), k_cap=5)
 
 
 # ---------------------------------------------------------------------------

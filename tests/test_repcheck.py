@@ -265,7 +265,7 @@ def test_needs_deficit_bb_diagonal_edge():
     config = mandatory_configuration(2)
     probe = needs_deficit(config, config.bb_vertex(1, 1), config.bb_vertex(2, 2))
     assert probe.edge == (2, 5)
-    assert probe.unsatisfied_count == 7
+    assert len(probe.unsatisfied) == 7
     sat = probe.satisfied
     assert set(sat) == {
         NeedPair(red(0), red(0)),

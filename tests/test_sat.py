@@ -14,32 +14,32 @@ from hypothesis import example, given, settings, strategies as st
 import redblue
 from redblue.algebra import ALGEBRA_ONE_BLUE, ALGEBRA_TWO_BLUE, AlgebraSpec, blue, needs_of, red
 from redblue.repcheck import EdgeColoring, check_representation
-from redblue.sat import (
-    SAT,
-    SOLVER_ENV_VAR,
-    UNKNOWN,
-    UNSAT,
+from redblue.sat import cdcl, dimacs
+from redblue.sat.cdcl import Cdcl
+from redblue.sat.dimacs import formula_from_dimacs, parse_dimacs, to_dimacs
+from redblue.sat.encode import (
     ClauseGroup,
     CnfFormula,
-    SolverUnavailableError,
     VarMap,
     all_edges_formula,
     build_formula,
     decode_model,
-    default_solver,
-    dpll,
-    enumerate_models,
     exactly_one_clauses,
     free_edge_clauses,
     need_clauses,
-    parse_dimacs,
-    solve,
-    to_dimacs,
 )
-from redblue.sat import cdcl, dimacs
-from redblue.sat.cdcl import Cdcl
 from redblue.sat.proof import check_rup
-from redblue.sat.dimacs import formula_from_dimacs
+from redblue.sat.solve import (
+    SAT,
+    SOLVER_ENV_VAR,
+    UNKNOWN,
+    UNSAT,
+    SolverUnavailableError,
+    default_solver,
+    dpll,
+    enumerate_models,
+    solve,
+)
 
 
 def tiny_formula():
@@ -501,7 +501,8 @@ def test_builtin_refutes_basic_ten_points(monkeypatch):
     # propagation alone refutes the basic encoding
     monkeypatch.delenv(SOLVER_ENV_VAR, raising=False)
     f = build_formula(10, "basic")
-    outcome = solve(f, dpll_cap=f.num_vars)
+    monkeypatch.setattr("redblue.sat.solve.DPLL_VAR_CAP", f.num_vars)
+    outcome = solve(f)
     assert outcome.status == UNSAT
 
 
@@ -775,7 +776,8 @@ def test_sat_modules_import_without_numpy():
     # every solve launches the solver afresh; numpy would double its start-up
     src = Path(redblue.__file__).resolve().parent.parent
     probe = (
-        "import sys, redblue.sat, redblue.sat.cdcl, redblue.repcheck; "
+        "import sys, redblue.sat.encode, redblue.sat.dimacs, redblue.sat.solve, "
+        "redblue.sat.cdcl, redblue.sat.proof, redblue.repcheck; "
         "sys.exit('numpy' in sys.modules)"
     )
     env = {**os.environ, "PYTHONPATH": str(src)}

@@ -28,7 +28,7 @@ from redblue.search import (
     violations,
     violations_naive,
 )
-from redblue.search import _counts, iter_trials, layer_sums
+from redblue.search import _counts, _entries, iter_trials, layer_sums
 from redblue import search
 
 TWO_BLUE = AlgebraSpec(1, 2)
@@ -78,16 +78,22 @@ def test_random_split_deterministic(part2):
     assert other.blue_assign != a.blue_assign
 
 
+def _one_part_per_layer(part, blue_label=1):
+    """Labels putting the red layer in red part 0 and the blue layer at `blue_label`."""
+    labels = np.full(1 << part.m, -1)
+    labels[part.R.to_array()] = 0
+    labels[part.B.to_array()] = blue_label
+    return labels
+
+
 def test_split_state_validation(part1):
     with pytest.raises(ValueError):
-        SplitState(part1, 1, 2, 0, {}, {})
-    red_assign = {e: 0 for e in part1.R.elements()}
-    blue_assign = {e: 0 for e in part1.B.elements()}
-    state = SplitState(part1, 1, 2, 0, red_assign, blue_assign)
+        SplitState(part1, 1, 2, 0, labels=np.full(1 << part1.m, -1))
+    state = SplitState(part1, 1, 2, 0, labels=_one_part_per_layer(part1))
     assert state.spec == TWO_BLUE
-    assert state.part_elements(blue(1)) == []
+    assert not state.parts()[blue(1)]
     with pytest.raises(ValueError):
-        SplitState(part1, 1, 1, 0, red_assign, {e: 3 for e in blue_assign})
+        SplitState(part1, 1, 1, 0, labels=_one_part_per_layer(part1, blue_label=4))
 
 
 def test_trivial_split_is_solved(part1, part2):
@@ -197,9 +203,7 @@ def test_counts_from_layer_sums_match_both_routes(shape, variant):
 
 
 def test_empty_part_is_a_violation(part2):
-    blue_all_one = {e: 0 for e in part2.B.elements()}
-    red_assign = {e: 0 for e in part2.R.elements()}
-    state = SplitState(part2, 1, 2, 0, red_assign, blue_all_one)
+    state = SplitState(part2, 1, 2, 0, labels=_one_part_per_layer(part2))
     report = violations(state, TWO_BLUE)
     assert blue(1) in report.empty_parts
     assert not report.solved
@@ -230,11 +234,15 @@ def test_array_draw_matches_part_index(seed, k, p, q):
     assert state.labels[0] == -1
 
 
-def test_random_split_equals_dict_built_state(part2):
+def test_random_split_equals_hand_built_state(part2):
     drawn = random_split(part2, 2, 3, 17)
-    built = SplitState(part2, 2, 3, 17, drawn.red_assign, drawn.blue_assign)
-    assert built == drawn
-    assert SplitState(part2, 2, 3, 18, drawn.red_assign, drawn.blue_assign) != drawn
+    labels = np.full(1 << part2.m, -1)
+    for x in part2.R.elements():
+        labels[x] = part_index(17, x, 2)
+    for x in part2.B.elements():
+        labels[x] = 2 + part_index(17, x, 3)
+    assert SplitState(part2, 2, 3, 17, labels=labels) == drawn
+    assert SplitState(part2, 2, 3, 18, labels=labels) != drawn
     assert random_split(part2, 2, 3, 18) != drawn
 
 
@@ -268,6 +276,11 @@ def test_layer_indicators_computed_once_per_partition(part2):
 # ---------------------------------------------------------------------------
 
 
+def _engine_entries(engine):
+    """Every rule the engine's counts break, as (element, pair): unsatisfied, then forbidden."""
+    return sum(_entries(engine.table, engine.counts, engine.labels), ())
+
+
 def test_engine_incremental_matches_fresh(part1):
     # blue layer of the 16-point cube: weights 3 and 4
     state = random_split(part1, 1, 2, 3)
@@ -280,13 +293,12 @@ def test_engine_incremental_matches_fresh(part1):
         current = engine.color_of(e)
         if current == target:
             continue
-        engine.remove(current, e)
-        engine.add(target, e)
+        engine.move(e, target)
         fresh = violations(engine.to_state(0), TWO_BLUE)
         key = lambda t: (t[0], t[1].first.kind, t[1].first.index,
                          t[1].second.kind, t[1].second.index)
         assert engine.violation_count() == fresh.count
-        assert sorted(engine.unsatisfied_items(), key=key) == sorted(
+        assert sorted(_engine_entries(engine), key=key) == sorted(
             fresh.unsatisfied, key=key
         )
 
@@ -304,11 +316,10 @@ def test_engine_moves_in_both_layers_match_fresh(part2):
     for e in [reds[0], blues[0], reds[1], blues[1], reds[0], blues[2], reds[3], blues[0]]:
         current = engine.color_of(e)
         target = next(c for c in engine.options_for(e) if c != current)
-        engine.remove(current, e)
-        engine.add(target, e)
+        engine.move(e, target)
         fresh = violations(engine.to_state(0), spec)
         assert engine.violation_count() == fresh.count
-        assert sorted(engine.unsatisfied_items(), key=key) == sorted(
+        assert sorted(_engine_entries(engine), key=key) == sorted(
             fresh.unsatisfied + fresh.forbidden, key=key
         )
 
@@ -508,28 +519,30 @@ def _sumset_accepts(state, spec):
 def _refined_embedded(p, q, seed):
     # the solved 1024-point split with its reds split p ways and, for q = 3,
     # its second blue part split in two; for (1, 2), one blue element moved
-    base = embedded_split_state()
-    red_assign = {x: part_index(seed, x, p) for x in base.red_assign}
-    blue_assign = dict(base.blue_assign)
-    for x, i in base.blue_assign.items():
-        if i == 1 and q == 3:
-            blue_assign[x] = 1 + part_index(seed, x, 2)
+    base = embedded_split_state()  # labels: red 0, blues 1 and 2
+    labels = np.where(base.labels > 0, base.labels + p - 1, base.labels)
+    for x in np.flatnonzero(base.labels == 0).tolist():
+        labels[x] = part_index(seed, x, p)
+    if q == 3:
+        for x in np.flatnonzero(base.labels == 2).tolist():
+            labels[x] = p + 1 + part_index(seed, x, 2)
     if (p, q) == (1, 2):  # move one blue element to the other blue part
-        e = sorted(blue_assign)[part_index(seed, 0, len(blue_assign))]
-        blue_assign[e] ^= 1
-    return SplitState(base.base, p, q, seed, red_assign, blue_assign)
+        blues = np.flatnonzero(base.labels > 0)
+        e = blues[part_index(seed, 0, blues.size)]
+        labels[e] = 3 - labels[e]
+    return SplitState(base.base, p, q, seed, labels=labels)
 
 
 def _red_moved_to_blue(base, seed, part):
     # a solved (1, 2) split with one red element recolored blue `part`; the
     # blue layer is then no longer sum-free, so an all-blue sum hits blue
-    reds = sorted(base.red_assign)
-    x = reds[part_index(seed, 0, len(reds))]
+    reds = np.flatnonzero(base.labels == 0)
+    x = int(reds[part_index(seed, 0, reds.size)])
     point = CubeSubset.from_elements(base.base.m, [x])
     layers = LayerPartition(base.base.k, base.base.R - point, base.base.B | point)
-    red_assign = {e: i for e, i in base.red_assign.items() if e != x}
-    blue_assign = {**base.blue_assign, x: part}
-    return SplitState(layers, 1, 2, seed, red_assign, blue_assign)
+    labels = base.labels.copy()
+    labels[x] = 1 + part
+    return SplitState(layers, 1, 2, seed, labels=labels)
 
 
 @pytest.mark.parametrize("shape", [(1, 2), (2, 2), (1, 3)])
@@ -696,8 +709,7 @@ def test_engine_tallies_match_fresh_recount(shape, k, seed):
         assert np.array_equal(engine.move_pool(), reference)
 
     def move(e, new):
-        engine.remove(engine.color_of(e), e)
-        engine.add(new, e)
+        engine.move(e, new)
         check()
 
     check()
@@ -742,8 +754,7 @@ def test_count_after_scores_without_writing(shape, k, seed):
         assert np.array_equal(engine.tally, kept[2])
         assert all(map(np.array_equal, engine.members, kept[3]))
         assert engine.total == kept[4]
-        engine.remove(old, e)
-        engine.add(new, e)
+        engine.move(e, new)
         assert score == engine.violation_count() == violations(engine.to_state(0), spec).count
 
     last = spec.color_at(p + q - 1)
