@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterator, NamedTuple
 
 from ..algebra import ALGEBRA_TWO_BLUE, AlgebraSpec, ColorId, NeedPair, needs_of
@@ -49,6 +49,7 @@ class VarMap:
         self.t = colors
         self.num_base = colors * points * (points - 1) // 2
         self._next_aux = self.num_base + 1
+        self._rows: dict[tuple[int, int], list[int]] = {}
 
     def pair_rank(self, i: int, j: int) -> int:
         if i > j:
@@ -61,6 +62,14 @@ class VarMap:
         if not 0 <= c < self.t:
             raise ValueError(f"color index {c} out of range")
         return self.t * self.pair_rank(i, j) + c + 1
+
+    def row(self, i: int, c: int) -> list[int]:
+        """`var(i, k, c)` for every point k, with 0 at k = i; built once per (i, c)."""
+        row = self._rows.get((i, c))
+        if row is None:
+            row = [0 if k == i else self.var(i, k, c) for k in range(self.V)]
+            self._rows[i, c] = row
+        return row
 
     def decode(self, var: int) -> tuple[int, int, int]:
         """Invert `var` for base variables: returns (i, j, color index)."""
@@ -112,11 +121,25 @@ class CnfFormula:
         return self.colors * self.points * (self.points - 1) // 2
 
     def validate(self) -> None:
-        for clause in self.clauses():
-            if not clause:
-                raise ValueError("empty clause")
-            if any(lit == 0 or abs(lit) > self.num_vars for lit in clause):
-                raise ValueError(f"literal out of range in {clause}")
+        """Raise ValueError naming the first empty clause or bad literal.
+
+        Each group is checked by whole-group scans; the clause loop runs
+        only to name the clause that failed them.
+        """
+        flat = chain.from_iterable
+        for group in self.groups:
+            if (
+                all(group.clauses)
+                and 0 not in flat(group.clauses)
+                and -self.num_vars <= min(flat(group.clauses), default=0)
+                and max(flat(group.clauses), default=0) <= self.num_vars
+            ):
+                continue
+            for clause in group.clauses:
+                if not clause:
+                    raise ValueError(f"empty clause in group {group.tag}")
+                if any(lit == 0 or abs(lit) > self.num_vars for lit in clause):
+                    raise ValueError(f"literal out of range in {clause}")
 
 
 def exactly_one_clauses(vm: VarMap) -> ClauseGroup:
@@ -151,15 +174,13 @@ def _witnesses(
     Each is defined by biconditional clauses, appended to `clauses`, as
     "edge (i,k) has the need's first color and edge (k,j) its second".
     """
-    c1 = spec.color_index(need.first)
-    c2 = spec.color_index(need.second)
+    first = vm.row(i, spec.color_index(need.first))
+    second = vm.row(j, spec.color_index(need.second))
     witnesses = []
-    for k in range(vm.V):
-        if k in (i, j):
+    for k, l1, l2 in zip(range(vm.V), first, second):
+        if k == i or k == j:
             continue
         w = vm.new_aux()
-        l1 = vm.var(*sorted((i, k)), c1)
-        l2 = vm.var(*sorted((k, j)), c2)
         clauses += [(-w, l1), (-w, l2), (w, -l1, -l2)]
         witnesses.append(w)
     return witnesses

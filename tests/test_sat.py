@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -214,6 +215,23 @@ def test_formula_validate_catches_garbage():
         out_of_range.validate()
 
 
+@pytest.mark.parametrize(
+    "groups, bad",
+    [
+        ((ClauseGroup("x", ((1, 2), (3, 0, -4))),), (3, 0, -4)),  # zero literal
+        ((ClauseGroup("x", ((1,), (-7, 2))),), (-7, 2)),  # below -num_vars
+        ((ClauseGroup("x", ((1, -2),)), ClauseGroup("y", ((6,), (-1, 7)))), (-1, 7)),
+    ],
+)
+def test_formula_validate_names_the_bad_clause(groups, bad):
+    formula = CnfFormula(
+        points=3, colors=2, variant="x", spec=ALGEBRA_ONE_BLUE,
+        num_vars=6, groups=groups,
+    )
+    with pytest.raises(ValueError, match=re.escape(str(bad))):
+        formula.validate()
+
+
 # ---------------------------------------------------------------------------
 # encoding semantics against the brute-force checker
 # ---------------------------------------------------------------------------
@@ -318,6 +336,14 @@ def test_dimacs_parse_errors():
         parse_dimacs("c only a comment\n")
     with pytest.raises(ValueError):
         parse_dimacs("p cnf 2 2\n1 0\n")  # count mismatch
+    with pytest.raises(ValueError):
+        parse_dimacs("p cnf 2 1\n1 x 0\n")  # non-integer token
+    with pytest.raises(ValueError, match="literal -3"):
+        parse_dimacs("p cnf 2 1\n-3 0\n")  # literal below -num_vars
+    with pytest.raises(ValueError, match="second problem line"):
+        parse_dimacs("p cnf 2 2\n1 0\np cnf 2 2\n2 0\n")
+    with pytest.raises(ValueError, match="bad problem line"):
+        parse_dimacs("p cnf -1 0\n")
 
 
 # line-split variants: a clause over several lines, two clauses on one
@@ -348,7 +374,6 @@ def _parse_tokens(text):
 @pytest.mark.parametrize("slice_chars", [1, 2, 3, 5, 8, 13, 1 << 20])
 def test_parse_dimacs_across_slices(monkeypatch, text, slice_chars):
     monkeypatch.setattr(dimacs, "SLICE_CHARS", slice_chars)
-    assert list(dimacs._lines(text)) == text.splitlines()
     assert parse_dimacs(text) == _parse_tokens(text) == (4, [(1, -2, 3), (-4, 2), (4, -1)])
     written = to_dimacs(all_edges_formula(5, ALGEBRA_ONE_BLUE))
     assert parse_dimacs(written) == _parse_tokens(written)
@@ -358,6 +383,77 @@ def test_parse_dimacs_across_slices(monkeypatch, text, slice_chars):
 def test_dimacs_parse_errors_across_slices(monkeypatch, slice_chars):
     monkeypatch.setattr(dimacs, "SLICE_CHARS", slice_chars)
     test_dimacs_parse_errors()
+
+
+def reference_dimacs(formula):
+    """The emitter as it was before the word table, frozen."""
+    lines = [f"c {comment}\n" for comment in formula.comments]
+    lines.append(
+        "c varmap: var(i,j,c) = t*(j*(j-1)/2 + i) + c + 1 for 0<=i<j<V, "
+        "colors red-first; auxiliaries above\n"
+    )
+    lines += [f"c group {g.tag}: {len(g.clauses)} clauses\n" for g in formula.groups]
+    lines.append(f"p cnf {formula.num_vars} {formula.num_clauses}\n")
+    lines += [" ".join(map(str, clause)) + " 0\n" for clause in formula.clauses()]
+    return "".join(lines)
+
+
+# CNFs over 0-8 variables with empty and unit clauses, in up to three groups
+DIMACS_CNFS = st.integers(min_value=0, max_value=8).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(
+            st.lists(
+                st.lists(
+                    st.integers(min_value=1, max_value=max(n, 1)).flatmap(
+                        lambda v: st.sampled_from([v, -v])
+                    ),
+                    max_size=4 if n else 0,
+                ).map(tuple),
+                max_size=10,
+            ),
+            max_size=3,
+        ),
+    )
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    DIMACS_CNFS,
+    st.sampled_from([1, 2, 3, 7, 1 << 20]),
+    st.sampled_from([1, 2, 5, 1 << 14]),
+)
+@example((0, []), 1, 1)
+@example((3, [[(), (1,), ()], [(-3, 2)]]), 3, 2)
+def test_to_dimacs_matches_reference_and_round_trips(cnf, slice_chars, block):
+    num_vars, groups = cnf
+    formula = CnfFormula(
+        points=0, colors=2, variant="parsed", spec=ALGEBRA_ONE_BLUE,
+        num_vars=num_vars,
+        groups=tuple(ClauseGroup(f"g{i}", tuple(g)) for i, g in enumerate(groups)),
+        comments=("hypothesis",),
+    )
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dimacs, "SLICE_CHARS", slice_chars)
+        mp.setattr(dimacs, "BLOCK_CLAUSES", block)
+        text = to_dimacs(formula)
+        assert text == reference_dimacs(formula)
+        assert parse_dimacs(text) == (num_vars, list(formula.clauses()))
+
+
+def test_to_dimacs_keeps_bytes_of_clauses_outside_the_table():
+    # an empty clause is written " 0"; a zero literal or one above the
+    # declared count is written as it is, as before the word table
+    parsed = formula_from_dimacs("p cnf 2 3\n1 0\n0\n-2 1 0\n", "e.cnf")
+    assert to_dimacs(parsed).endswith("p cnf 2 3\n1 0\n 0\n-2 1 0\n")
+    assert to_dimacs(parsed) == reference_dimacs(parsed)
+    zero = parsed_formula(2, [(1, 0, 2), (2,)])
+    assert to_dimacs(zero).endswith("p cnf 2 2\n1 0 2 0\n2 0\n")
+    above = parsed_formula(2, [(2,), (3, 1)])
+    assert to_dimacs(above).endswith("p cnf 2 2\n2 0\n3 1 0\n")
+    below = parsed_formula(2, [(-3,), (2,)])
+    assert to_dimacs(below).endswith("p cnf 2 2\n-3 0\n2 0\n")
 
 
 # ---------------------------------------------------------------------------
