@@ -99,8 +99,31 @@ def _print_json(payload: dict) -> None:
     print(json.dumps(payload, indent=2, sort_keys=False, default=str))
 
 
-def _check_memory(args: argparse.Namespace, estimate_bytes: int, what: str) -> None:
+# Memory estimates, in int64 words per cube element: a layer partition holds
+# 5.25 (five transforms, two bool indicators), a running transform 3 more.
+# FIXED_BYTES covers what does not grow with m, such as sumset gather blocks.
+PARTITION_WORDS = 5.25
+TRANSFORM_WORDS = 3
+FIXED_BYTES = 2**20
+
+
+def _search_words(p: int, q: int, hill: bool) -> float:
+    """Peak words per cube element of a split search: beside the
+    partition, a split's labels and masks (one word) and n(n+1)/2 count
+    rows, n = p + q, plus n forward transforms and a running one while
+    the rows are computed, or three bool vectors per row while they are
+    judged.  A climb scores its rows once more as int64, beside eight
+    rows of tally, scores, positions and members."""
+    n = p + q
+    rows = n * (n + 1) // 2
+    if hill:
+        return PARTITION_WORDS + 1 + 2 * rows + rows / 8 + 8
+    return PARTITION_WORDS + 1 + rows + max(n + TRANSFORM_WORDS, 3 * rows / 8)
+
+
+def _check_memory(args: argparse.Namespace, m: int, words: float, what: str) -> None:
     cap = getattr(args, "memory_cap_mb", None)
+    estimate_bytes = int(words * 8 * (1 << m)) + FIXED_BYTES
     if cap is not None and estimate_bytes > cap * 2**20:
         raise ResourceLimitError(
             f"{what} needs about {estimate_bytes / 2**20:.0f} MiB, "
@@ -223,7 +246,7 @@ def cmd_witnesses(args: argparse.Namespace) -> int:
     if args.k < 1:
         raise UsageError("--k must be >= 1")
     m = 3 * args.k + 1
-    _check_memory(args, 6 * 8 * (1 << m), f"transforms at m={m}")
+    _check_memory(args, m, PARTITION_WORDS + TRANSFORM_WORDS, f"transforms at m={m}")
     part = layer_partition(args.k)
     stats = witness_minima(part)
     floor = 1 << args.k
@@ -353,7 +376,7 @@ def cmd_search(args: argparse.Namespace) -> int:
             "pass --extended to confirm"
         )
     m = 3 * args.k + 1
-    _check_memory(args, 10 * 8 * (1 << m), f"split search at m={m}")
+    _check_memory(args, m, _search_words(args.p, args.q, args.hill), f"split search at m={m}")
     part = layer_partition(args.k)
     saved = []
 

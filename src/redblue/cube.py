@@ -16,8 +16,10 @@ agreement is part of the test suite's oracle discipline.
 
 The layer split of the m = 3k+1 cube colors weights 1..2k "red" and
 weights 2k+1..3k+1 "blue"; the blue layer is sum-free, which is what makes
-these partitions useful seeds for representation search.  A hand-tuned
-refinement of the k = 3 blue layer into two parts, shipped as data, gives
+these partitions useful seeds for representation search.  A partition
+computes its layers' transforms once, when it is built, for its identity
+checks, the witness table and every split of it.  A hand-tuned refinement
+of the k = 3 blue layer into two parts, shipped as data, gives
 an exact 1024-point representation of the two-blue algebra; the verifier
 here checks such colorings against any member of the family.
 """
@@ -338,11 +340,31 @@ def support(counts: np.ndarray, m: int) -> CubeSubset:
 
 @dataclass(frozen=True, slots=True)
 class LayerPartition:
-    """Diversity split of (Z/2Z)^(3k+1) into low layers R and high layers B."""
+    """Diversity split of (Z/2Z)^(3k+1) into low layers R and high layers B.
+
+    Built, it holds what every split of it starts from, read-only:
+    `layers`, the bool indicators of R and B; `fwd`, their Walsh-Hadamard
+    transforms; and `rows`, the unscaled inverse transforms of the
+    products R*R, R*B and B*B, which are 2^m times the layer pair counts.
+    """
 
     k: int
     R: CubeSubset
     B: CubeSubset
+    layers: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
+    fwd: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
+    rows: tuple[np.ndarray, np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        indicators = [self.R.indicator(), self.B.indicator()]
+        fwd = [walsh_hadamard(vec) for vec in indicators]
+        layers = [vec.astype(bool) for vec in indicators]
+        del indicators  # int64, freed before the rows, whose build sets the peak
+        rows = [walsh_hadamard(fwd[i] * fwd[j]) for i, j in ((0, 0), (0, 1), (1, 1))]
+        for name, vecs in (("layers", layers), ("fwd", fwd), ("rows", rows)):
+            for vec in vecs:
+                vec.flags.writeable = False
+            object.__setattr__(self, name, tuple(vecs))
 
     @property
     def m(self) -> int:
@@ -356,9 +378,10 @@ def _weights_vector(m: int) -> np.ndarray:
 def layer_partition(k: int) -> LayerPartition:
     """Build the weight-layer split at parameter k and check its identities.
 
-    R holds weights 1..2k and B weights 2k+1..3k+1.  Construction asserts
-    R+R = G, R+B = G minus 0, and B+B = R plus 0 (B is sum-free), via the
-    transform route's supports.
+    R holds weights 1..2k and B weights 2k+1..3k+1.  Construction checks
+    R+R = G, R+B = G minus 0, and B+B = R plus 0 (B is sum-free) on the
+    supports of the partition's `rows`, and raises RuntimeError when one
+    fails or a row is not a multiple of 2^m.
     """
     if k < 1:
         raise ValueError("k >= 1 required")
@@ -367,14 +390,18 @@ def layer_partition(k: int) -> LayerPartition:
     w = _weights_vector(m)
     r_part = CubeSubset.from_indicator(m, (w >= 1) & (w <= 2 * k))
     b_part = CubeSubset.from_indicator(m, w >= 2 * k + 1)
+    del w  # freed before the transforms, which set the peak
+    part = LayerPartition(k, r_part, b_part)
 
     full = CubeSubset.full(m)
-    diversity = full.without_zero()
-    zero = singleton(m, 0)
-    assert support(pair_counts(r_part, r_part), m) == full
-    assert support(pair_counts(r_part, b_part), m) == diversity
-    assert support(pair_counts(b_part, b_part), m) == r_part | zero
-    return LayerPartition(k, r_part, b_part)
+    identities = {"R+R = G": full, "R+B = G minus 0": full.without_zero(),
+                  "B+B = R plus 0": r_part | singleton(m, 0)}
+    for row, (identity, expected) in zip(part.rows, identities.items()):
+        if (row & ((1 << m) - 1)).any():
+            raise RuntimeError(f"{identity}: transform output not divisible by 2^m; overflow?")
+        if support(row, m) != expected:
+            raise RuntimeError(f"layer identity {identity} fails at k={k}")
+    return part
 
 
 class WitnessStat(NamedTuple):
@@ -398,16 +425,16 @@ def witness_minima(part: LayerPartition) -> dict[str, WitnessStat]:
     of ordered pairs (x, y) in L x Rt with x XOR y = z, with the smallest
     minimizing z.  A minimum of at least 2^k for every case is what makes
     an n-way random split of the layers succeed with positive probability
-    once 2^k outruns n^2.
+    once 2^k outruns n^2.  The counts are the partition's `rows` scaled
+    down by 2^m, so the table takes no transform of its own.
     """
-    layers = {"R": part.R, "B": part.B}
+    layer = {"R": 0, "B": 1}
     out: dict[str, WitnessStat] = {}
     for label, target, left, right in WITNESS_CASES:
-        counts = pair_counts(layers[left], layers[right])
-        targets = layers[target].to_array()
-        restricted = counts[targets]
-        pos = int(np.argmin(restricted))
-        out[label] = WitnessStat(int(restricted[pos]), int(targets[pos]))
+        row = part.rows[layer[left] + layer[right]]
+        targets = np.flatnonzero(part.layers[layer[target]])
+        pos = int(np.argmin(row[targets]))
+        out[label] = WitnessStat(int(row[targets[pos]]) >> part.m, int(targets[pos]))
     return out
 
 

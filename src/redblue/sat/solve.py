@@ -79,7 +79,8 @@ _STATUS_LINES = {"SATISFIABLE": SAT, "UNSATISFIABLE": UNSAT, "UNKNOWN": UNKNOWN}
 
 def _parse_solver_output(stdout: str, returncode: int) -> tuple[str | None, list[int]]:
     """Verdict and model literals; the verdict is None when neither an
-    `s` line nor the exit code (10 SAT, 20 UNSAT) gives one."""
+    `s` line nor the exit code (10 SAT, 20 UNSAT) gives one, or when a `v`
+    line holds a token that is not an integer."""
     status = None
     literals: list[int] = []
     for line in stdout.splitlines():
@@ -87,7 +88,10 @@ def _parse_solver_output(stdout: str, returncode: int) -> tuple[str | None, list
         if line.startswith("s "):
             status = _STATUS_LINES.get(line[2:].strip().upper(), status)
         elif line.startswith("v ") or line == "v":
-            literals.extend(int(tok) for tok in line[1:].split())
+            try:
+                literals.extend(int(tok) for tok in line[1:].split())
+            except ValueError:
+                return None, []
     if status is None:
         status = {10: SAT, 20: UNSAT}.get(returncode)
     if literals and literals[-1] == 0:

@@ -13,11 +13,11 @@ differ only in how they count (`_counts`); both, and the climber, judge the
 counts by one cached table per spec (`_rule_table`) and one comparison with
 it (`_broken`).  `iter_trials` is the one trial loop, with or without
 repair; `monte_carlo` tallies it.  The transform route derives the last
-part of each layer, and the count rows of two last parts, from the two
-layers' transforms (`layer_sums`) by subtraction; the trial loop computes
-those once and hands them to every report and climb.  The climber scores
-each proposed move from its kept counts before making it, and keeps the
-pool of elements to move up to date from the tally entries that changed.
+part of each layer, and the count rows of two last parts, by subtraction
+from the layers' transforms, which the split's base computed once when it
+was built (`cube.LayerPartition`).  The climber scores each proposed move
+from its kept counts before making it, and keeps the pool of elements to
+move up to date from the tally entries that changed.
 """
 
 from __future__ import annotations
@@ -109,7 +109,7 @@ class SplitState:
         labels = np.asarray(labels)
         if labels.shape != (1 << base.m,) or labels.dtype.kind != "i":
             raise ValueError("labels must be a signed integer vector of length 2^m")
-        red_layer, blue_layer = _layers(base)
+        red_layer, blue_layer = base.layers
         is_red, is_blue = (labels >= 0) & (labels < p), (labels >= p) & (labels < p + q)
         if not (np.array_equal(is_red, red_layer) and np.array_equal(is_blue, blue_layer)
                 and (labels[~(is_red | is_blue)] == -1).all()):
@@ -157,16 +157,6 @@ class SplitState:
         return GroupColoring(self.base.m, self.parts())
 
 
-@lru_cache(maxsize=4)
-def _layers(base: LayerPartition) -> tuple[np.ndarray, np.ndarray]:
-    """Boolean indicators of the red and blue layers, read-only and computed
-    once per partition: every split of a trial loop shares them."""
-    layers = base.R.indicator().astype(bool), base.B.indicator().astype(bool)
-    for layer in layers:
-        layer.flags.writeable = False
-    return layers
-
-
 def random_split(part: LayerPartition, p: int, q: int, seed: int) -> SplitState:
     """Independently uniform part assignment for every layer element.
 
@@ -177,7 +167,7 @@ def random_split(part: LayerPartition, p: int, q: int, seed: int) -> SplitState:
     if p < 1 or q < 1:
         raise ValueError("p, q >= 1 required")
     h = _mix64(np.arange(1 << part.m, dtype=np.uint64) ^ np.uint64(_mix64(seed)))
-    red_layer, blue_layer = _layers(part)
+    red_layer, blue_layer = part.layers
     labels = np.where(red_layer, h % p, h % q + p).astype(np.int8)
     labels[~(red_layer | blue_layer)] = -1
     return SplitState(part, p, q, seed, labels=labels)
@@ -288,45 +278,19 @@ def _broken(
     return (counts[:, at] == 0) == np.take(table.need.T, labels[at], axis=-1)
 
 
-class LayerSums(NamedTuple):
-    """Transforms of the two layers of a partition, shared by all its splits.
-
-    `fwd` holds the forward transforms of the red and the blue layer
-    indicator; `rows` the unscaled inverse transforms of their products,
-    red-red, red-blue and blue-blue: 2^m times the layer pair counts.
-    """
-
-    base: LayerPartition
-    fwd: tuple[np.ndarray, np.ndarray]
-    rows: tuple[np.ndarray, np.ndarray, np.ndarray]
-
-
-def layer_sums(base: LayerPartition) -> LayerSums:
-    """The layer sums of `base`: five transforms, read-only results."""
-    fwd = tuple(walsh_hadamard(layer.astype(np.int64)) for layer in _layers(base))
-    rows = tuple(walsh_hadamard(fwd[i] * fwd[j]) for i, j in ((0, 0), (0, 1), (1, 1)))
-    for vec in (*fwd, *rows):
-        vec.flags.writeable = False
-    return LayerSums(base, fwd, rows)
-
-
-def _counts(
-    s: SplitState, spec: AlgebraSpec, naive: bool, sums: LayerSums | None = None
-) -> np.ndarray:
+def _counts(s: SplitState, spec: AlgebraSpec, naive: bool) -> np.ndarray:
     """The pair-count rows of a split, in the order of `_rule_table`.
 
     The transform route takes one forward transform per part but the last
     of each layer, and one inverse per row but the rows whose colors are
-    both last parts.  Those follow from the `layer_sums` of the split's
-    base: the parts of a layer sum to the layer, and the transform is
-    linear, so the last part's transform is the layer's minus the other
+    both last parts.  Those follow from the `fwd` and `rows` of the
+    split's base: the parts of a layer sum to the layer, and the transform
+    is linear, so the last part's transform is the layer's minus the other
     parts'; the XOR convolution is bilinear, so a row of two last parts is
     its layer row minus the group's other rows, a mixed pair inside one
     layer taken twice (`_RuleTable.derive`).  Everything is int64 and
     exact: each term is the transform of a 0/1 vector or 2^m times a pair
-    count.  Without `sums` they are computed here, five transforms, so a
-    split of n parts costs n + n(n+1)/2 transforms either way; a trial
-    loop computes them once for all its splits.
+    count.
     """
     if (spec.p, spec.q) != (s.p, s.q):
         raise ValueError("spec shape must match the split's (p, q)")
@@ -337,19 +301,16 @@ def _counts(
         for u, (a, b) in enumerate(table.unordered):
             counts[u] = pair_counts_naive(parts[a], parts[b])
         return counts
-    sums = layer_sums(s.base) if sums is None else sums
-    if sums.base != s.base:
-        raise ValueError("layer sums must be those of the split's base")
     lasts = (spec.p - 1, spec.num_diversity - 1)
     fwd = [None if code in lasts else walsh_hadamard((s.labels == code).astype(np.int64))
            for code in range(spec.num_diversity)]
-    for layer_hat, first, last in zip(sums.fwd, (0, spec.p), lasts):
+    for layer_hat, first, last in zip(s.base.fwd, (0, spec.p), lasts):
         fwd[last] = layer_hat - sum(fwd[first:last])
     derived = {last for last, _others in table.derive}
     for u, (a, b) in enumerate(table.unordered):
         if u not in derived:
             counts[u] = walsh_hadamard(fwd[a] * fwd[b])
-    for (last, others), layer_row in zip(table.derive, sums.rows):
+    for (last, others), layer_row in zip(table.derive, s.base.rows):
         counts[last] = layer_row
         for u, times in others:
             counts[last] -= times * counts[u]
@@ -374,25 +335,17 @@ def _entries(
     )
 
 
-def _report(
-    s: SplitState, spec: AlgebraSpec, naive: bool, sums: LayerSums | None = None
-) -> ViolationReport:
-    unsat, forbid = _entries(_rule_table(spec), _counts(s, spec, naive, sums), s.labels)
+def _report(s: SplitState, spec: AlgebraSpec, naive: bool) -> ViolationReport:
+    unsat, forbid = _entries(_rule_table(spec), _counts(s, spec, naive), s.labels)
     present = np.zeros(spec.num_diversity + 1, dtype=bool)
     present[s.labels] = True  # label -1 marks the spare last slot
     empty = tuple(c for c, seen in zip(spec.diversity_colors(), present) if not seen)
     return ViolationReport(unsat, forbid, empty)
 
 
-def violations(
-    s: SplitState, spec: AlgebraSpec, *, sums: LayerSums | None = None
-) -> ViolationReport:
-    """Exact violation report via the transform route.
-
-    Given the `layer_sums` of the split's base, the report skips the five
-    transforms that compute them (see `_counts`).
-    """
-    return _report(s, spec, naive=False, sums=sums)
+def violations(s: SplitState, spec: AlgebraSpec) -> ViolationReport:
+    """Exact violation report via the transform route (see `_counts`)."""
+    return _report(s, spec, naive=False)
 
 
 def violations_naive(s: SplitState, spec: AlgebraSpec) -> ViolationReport:
@@ -423,12 +376,11 @@ class _ClimbEngine:
     counts and writes nothing, so a rejected move costs no update.
     `move_pool` keeps each movable layer's reach, the XOR convolution of
     the tallies with the layer indicators: the first call takes a few
-    transforms (the layers' own are the `layer_sums` of the base), and
-    each later call adds the layer translates of the tally entries that
-    changed since.
+    transforms (the layers' own are the `fwd` of the base), and each later
+    call adds the layer translates of the tally entries that changed since.
     """
 
-    def __init__(self, state: SplitState, spec: AlgebraSpec, sums: LayerSums | None = None):
+    def __init__(self, state: SplitState, spec: AlgebraSpec):
         self.base = state.base
         self.p, self.q = state.p, state.q
         self.spec = spec
@@ -436,14 +388,11 @@ class _ClimbEngine:
         self.table = _rule_table(spec)
         self.labels = state.labels.copy()
         self.members = [np.flatnonzero(self.labels == code) for code in range(len(self.colors))]
-        sums = layer_sums(state.base) if sums is None else sums
-        self.counts = _counts(state, spec, naive=False, sums=sums)
+        self.counts = _counts(state, spec, naive=False)
         self.tally = np.zeros((3, 1 << state.base.m), dtype=np.int64)
         labeled = np.flatnonzero(self.labels >= 0)
         self.tally[:, labeled] = self._score(labeled)
         self.total = int(self.tally.sum())
-        self.layers = (self.labels >= 0) & (self.labels < self.p), self.labels >= self.p
-        self.layer_hat = sums.fwd
         self.reach: dict[int, np.ndarray] = {}  # movable layer -> its reach, once computed
         self.reached = np.empty_like(self.tally)  # the tally the reach is of
 
@@ -537,7 +486,7 @@ class _ClimbEngine:
             rows = {at + layer for at in movable for layer in (0, 1)}
             hat = {g: walsh_hadamard(self.tally[g]) for g in rows}
             for at in movable:
-                both = hat[at] * self.layer_hat[0] + hat[at + 1] * self.layer_hat[1]
+                both = hat[at] * self.base.fwd[0] + hat[at + 1] * self.base.fwd[1]
                 self.reach[at] = walsh_hadamard(both) >> self.base.m
         else:
             n = self.tally.shape[1]
@@ -547,13 +496,13 @@ class _ClimbEngine:
                 g, z = divmod(f, n)
                 for at in movable:
                     if 0 <= g - at <= 1:  # tally row g pairs layer `at` with layer g - at
-                        translate = self.layers[g - at][np.arange(n) ^ z]
+                        translate = self.base.layers[g - at][np.arange(n) ^ z]
                         np.add(self.reach[at], delta, out=self.reach[at], where=translate)
         np.copyto(self.reached, self.tally)
         broken = self.tally.any(axis=0)
         pool = np.zeros_like(broken)
         for at in movable:
-            pool |= self.layers[at] & (broken | (self.reach[at] != 0))
+            pool |= self.base.layers[at] & (broken | (self.reach[at] != 0))
         return pool
 
     def color_of(self, e: int) -> ColorId:
@@ -563,7 +512,7 @@ class _ClimbEngine:
         return self.colors[code]
 
     def options_for(self, e: int) -> tuple[ColorId, ...]:
-        return self.colors[: self.p] if self.layers[0][e] else self.colors[self.p :]
+        return self.colors[: self.p] if self.base.layers[0][e] else self.colors[self.p :]
 
     def to_state(self, seed: int) -> SplitState:
         return SplitState(self.base, self.p, self.q, seed, labels=self.labels)
@@ -580,8 +529,6 @@ def hill_climb(
     budget: int,
     seed: int,
     anneal: bool = False,
-    *,
-    sums: LayerSums | None = None,
 ) -> tuple[SplitState, list[tuple[int, int]]]:
     """Single-element local search toward zero violations.
 
@@ -601,12 +548,11 @@ def hill_climb(
     A result with zero violations, the start included, is re-checked from
     its labels by the sumset verifier, `cube.verify_group_representation`,
     which shares no counting code with the climb; a bookkeeping divergence
-    raises RuntimeError.  The `layer_sums` of the base, when given, spare
-    the climb's setup their five transforms.
+    raises RuntimeError.
     """
     if budget < 0:
         raise ValueError("budget >= 0 required")
-    engine = _ClimbEngine(s, spec, sums)
+    engine = _ClimbEngine(s, spec)
     count = engine.violation_count()
     trace: list[tuple[int, int]] = []
     rng = random.Random(seed)
@@ -666,20 +612,17 @@ def iter_trials(
     Trial t draws `random_split` at `trial_seed(seed, t)`, so the results
     are independent of execution order and identical across platforms.
     With a `budget`, each split is first repaired by `hill_climb` under the
-    same seed.  A trial is solved when `violations` finds nothing.  The
-    loop computes the `layer_sums` of `part` once and hands them to every
-    climb and report, sparing each five transforms.
+    same seed.  A trial is solved when `violations` finds nothing.
     """
     if trials < 1:
         raise ValueError("trials >= 1 required")
     spec = AlgebraSpec(p, q)
-    sums = layer_sums(part)
     for t in range(trials):
         ts = trial_seed(seed, t)
         state = random_split(part, p, q, ts)
         if budget is not None:
-            state, _trace = hill_climb(state, spec, budget, ts, anneal=anneal, sums=sums)
-        report = violations(state, spec, sums=sums)
+            state, _trace = hill_climb(state, spec, budget, ts, anneal=anneal)
+        report = violations(state, spec)
         yield TrialResult(t, ts, report.count, report.solved), state
 
 

@@ -1,11 +1,15 @@
 """End-to-end command line behavior: exit codes, artifacts, formats."""
 
+import argparse
 import json
+import tracemalloc
 
 import pytest
 
 from redblue.algebra import ALGEBRA_ONE_BLUE, blue, red
+from redblue import cli
 from redblue.cli import main
+from redblue.cube import ResourceLimitError
 from redblue.repcheck import EdgeColoring, write_coloring
 from redblue.sat.solve import SOLVER_ENV_VAR
 
@@ -98,6 +102,29 @@ def test_witnesses_rejects_bad_k(capsys):
 def test_witnesses_memory_cap(capsys):
     code, _ = run(capsys, "witnesses", "--k", "8", "--memory-cap-mb", "1")
     assert code == 3
+
+
+@pytest.mark.parametrize("k", [2, 4, 5])
+@pytest.mark.parametrize("command", ["witnesses", "1,2", "1,2,hill", "3,3,hill"])
+def test_memory_estimate_covers_traced_peak(capsys, k, command):
+    if command == "witnesses":
+        argv = ["witnesses", "--k", str(k)]
+        words = cli.PARTITION_WORDS + cli.TRANSFORM_WORDS
+    else:
+        p, q, *hill = command.split(",")
+        argv = ["search", "--k", str(k), "--p", p, "--q", q, "--trials", "2", "--seed", "5"]
+        if hill:
+            argv += ["--hill", "--budget", "200"]
+        words = cli._search_words(int(p), int(q), bool(hill))
+    tracemalloc.start()
+    try:
+        assert run(capsys, *argv)[0] in (0, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a cap at the traced peak must refuse the work: the estimate is above it
+    with pytest.raises(ResourceLimitError):
+        cli._check_memory(argparse.Namespace(memory_cap_mb=peak / 2**20), 3 * k + 1, words, "")
 
 
 # ---------------------------------------------------------------------------
@@ -375,6 +402,17 @@ def test_solve_input_errors(capsys, tmp_path, monkeypatch):
     corrupt.write_text("p cnf 1 1\n2 0\n")
     assert run(capsys, "solve", "--cnf", str(corrupt))[0] == 2
     assert run(capsys, "solve", "--cnf", str(tmp_path / "gone.cnf"))[0] == 2
+
+
+def test_solve_unrecognized_model_exits_resource(capsys, tmp_path):
+    solver = tmp_path / "fakesolver"
+    solver.write_text('#!/bin/sh\necho "s SATISFIABLE"\necho "v 1 -2 x 0"\nexit 10\n')
+    solver.chmod(0o755)
+    path = tmp_path / "foreign.cnf"
+    path.write_text("p cnf 2 2\n1 0\n-1 2 0\n")
+    code, out = run(capsys, "solve", "--cnf", str(path), "--solver", str(solver))
+    assert code == 3
+    assert "status: UNKNOWN" in out and "unrecognized solver output" in out
 
 
 def test_solve_builtin_cap_exits_resource(capsys, tmp_path, monkeypatch):

@@ -13,6 +13,7 @@ from redblue.cube import (
     EMBEDDED_B_ELEMENTS,
     CubeSubset,
     GroupColoring,
+    LayerPartition,
     ResourceLimitError,
     embedded_split_1024,
     layer_partition,
@@ -267,6 +268,49 @@ def test_layer_sizes():
 def test_layer_partition_rejects_big_k():
     with pytest.raises(ResourceLimitError):
         layer_partition((CUBE_DIM_CAP + 2) // 3)
+
+
+def test_partition_holds_layer_transforms(part2):
+    # the weight-layer split and a hand-built one, one red element moved to B
+    point = singleton(part2.m, min(part2.R.elements()))
+    moved = LayerPartition(2, part2.R - point, part2.B | point)
+    for part in (part2, moved):
+        layers = (part.R, part.B)
+        for held, layer in zip(part.layers, layers):
+            assert held.dtype == bool and np.array_equal(held, layer.indicator())
+        for held, layer in zip(part.fwd, layers):
+            assert np.array_equal(held, walsh_hadamard(layer.indicator()))
+        for held, (i, j) in zip(part.rows, ((0, 0), (0, 1), (1, 1))):
+            assert np.array_equal(held, pair_counts(layers[i], layers[j]) << part.m)
+        for vec in (*part.layers, *part.fwd, *part.rows):
+            assert not vec.flags.writeable
+    assert moved != part2
+
+
+def test_layer_partition_raises_on_failed_identity(monkeypatch):
+    weights = cube._weights_vector
+
+    def top_element_red(m):
+        w = weights(m)
+        w[-1] = 1  # the all-ones element, which B+B cannot reach
+        return w
+
+    monkeypatch.setattr(cube, "_weights_vector", top_element_red)
+    with pytest.raises(RuntimeError, match="B\\+B"):
+        layer_partition(2)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_witness_minima_match_pair_counts(k):
+    part = layer_partition(k)
+    layers = {"R": part.R, "B": part.B}
+    expected = {}
+    for label, target, left, right in cube.WITNESS_CASES:
+        counts = pair_counts(layers[left], layers[right])
+        targets = layers[target].to_array()
+        pos = int(np.argmin(counts[targets]))
+        expected[label] = (int(counts[targets][pos]), int(targets[pos]))
+    assert {label: tuple(s) for label, s in witness_minima(part).items()} == expected
 
 
 def test_witness_minima_frozen_values(part1, part2, part3):

@@ -651,6 +651,13 @@ def test_garbage_output_surfaces_as_unknown(tmp_path):
     assert "unrecognized" in outcome.detail
 
 
+def test_non_integer_model_token_surfaces_as_unknown(tmp_path):
+    path = fake_solver(tmp_path, 'echo "s SATISFIABLE"; echo "v 1 -2 x 0"; exit 10')
+    outcome = solve(tiny_formula(), solver=path)
+    assert outcome.status == UNKNOWN
+    assert "unrecognized" in outcome.detail and "v 1 -2 x 0" in outcome.detail
+
+
 def test_unknown_status_line_surfaces_as_unknown(tmp_path):
     path = fake_solver(tmp_path, 'echo "s UNKNOWN"')
     outcome = solve(tiny_formula(), solver=path)

@@ -28,7 +28,7 @@ from redblue.search import (
     violations,
     violations_naive,
 )
-from redblue.search import _counts, _entries, iter_trials, layer_sums
+from redblue.search import _counts, _entries, iter_trials
 from redblue import search
 
 TWO_BLUE = AlgebraSpec(1, 2)
@@ -194,12 +194,8 @@ def test_counts_from_layer_sums_match_both_routes(shape, variant):
     state = SplitState(base, p, q, seed, labels=labels)
     parts = list(state.parts().values())  # the direct route: one convolution per pair
     direct = np.stack([pair_counts(parts[a], parts[b]) for a, b in search._rule_table(spec).unordered])
-    assert np.array_equal(_counts(state, spec, naive=False, sums=layer_sums(base)), direct)
     assert np.array_equal(_counts(state, spec, naive=False), direct)
     assert np.array_equal(_counts(state, spec, naive=True), direct)
-    if variant == "moved":  # sums of another partition are refused
-        with pytest.raises(ValueError):
-            violations(state, spec, sums=layer_sums(layer_partition(2)))
 
 
 def test_empty_part_is_a_violation(part2):
@@ -256,17 +252,16 @@ def test_split_labels_are_read_only(part2):
 
 
 def test_layer_indicators_computed_once_per_partition(part2):
-    # random_split, SplitState's label check and layer_sums share one pair
-    # of read-only layer indicators per partition
-    search._layers.cache_clear()
+    # random_split and SplitState's label check read the partition's
+    # read-only layer indicators and compute none of their own
+    for vec in (*part2.layers, *part2.fwd, *part2.rows):
+        assert not vec.flags.writeable
     with mock.patch.object(CubeSubset, "indicator", autospec=True,
                            side_effect=CubeSubset.indicator) as spy:
         states = [random_split(part2, 1, 2, seed) for seed in range(3)]
-        layer_sums(part2)
         SplitState(part2, 1, 2, 0, labels=states[0].labels)
-    assert spy.call_count == 2
-    red_layer, blue_layer = search._layers(part2)
-    assert not red_layer.flags.writeable and not blue_layer.flags.writeable
+    assert spy.call_count == 0
+    red_layer, blue_layer = part2.layers
     with pytest.raises(ValueError):
         SplitState(part2, 1, 2, 0, labels=np.where(red_layer, 1, states[0].labels))
 
@@ -472,9 +467,10 @@ def test_iter_trials_repairs_with_a_budget(part2, anneal):
 
 
 def test_trial_loop_transform_count(part2, monkeypatch):
-    """The loop's layer sums take 5 transforms and each (1, 2) trial 4
-    more; a report or a climb's setup without them takes 9, as many as
-    3 forward and 6 inverse."""
+    """With the layers' transforms held by the partition, each (1, 2)
+    trial takes 4 transforms, and so do a lone report and a climb's setup:
+    one forward and three inverse, where the direct route takes 3 forward
+    and 6 inverse."""
     calls = []
 
     def counted(vec):
@@ -484,17 +480,13 @@ def test_trial_loop_transform_count(part2, monkeypatch):
     monkeypatch.setattr(search, "walsh_hadamard", counted)
     trials = 7
     monte_carlo(part2, 1, 2, trials, 3)
-    assert len(calls) == 5 + 4 * trials
+    assert len(calls) == 4 * trials
     calls.clear()
     state = random_split(part2, 1, 2, 7)
     violations(state, TWO_BLUE)
-    assert len(calls) == 9
+    assert len(calls) == 4
     calls.clear()
     _ClimbEngine(state, TWO_BLUE)
-    assert len(calls) == 9
-    sums = layer_sums(part2)
-    calls.clear()
-    _ClimbEngine(state, TWO_BLUE, sums)
     assert len(calls) == 4
 
 
