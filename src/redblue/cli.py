@@ -101,7 +101,8 @@ def _print_json(payload: dict) -> None:
 
 # Memory estimates, in int64 words per cube element: a layer partition holds
 # 5.25 (five transforms, two bool indicators), a running transform 3 more.
-# FIXED_BYTES covers what does not grow with m, such as sumset gather blocks.
+# FIXED_BYTES covers what does not grow with m, such as sumset gather blocks
+# and the blocks of positions a climb's first tally is judged in.
 PARTITION_WORDS = 5.25
 TRANSFORM_WORDS = 3
 FIXED_BYTES = 2**20
@@ -112,13 +113,13 @@ def _search_words(p: int, q: int, hill: bool) -> float:
     partition, a split's labels and masks (one word) and n(n+1)/2 count
     rows, n = p + q, plus n forward transforms and a running one while
     the rows are computed, or three bool vectors per row while they are
-    judged.  A climb scores its rows once more as int64, beside eight
-    rows of tally, scores, positions and members."""
+    judged.  A climb holds beside its rows fifteen: a tally and the copy
+    its pool was built from (six), labels and members (one), and while it
+    builds its first pool up to three tally transforms, two reaches and a
+    running transform (eight)."""
     n = p + q
     rows = n * (n + 1) // 2
-    if hill:
-        return PARTITION_WORDS + 1 + 2 * rows + rows / 8 + 8
-    return PARTITION_WORDS + 1 + rows + max(n + TRANSFORM_WORDS, 3 * rows / 8)
+    return PARTITION_WORDS + 1 + rows + max(n + TRANSFORM_WORDS, 3 * rows / 8, 15 if hill else 0)
 
 
 def _check_memory(args: argparse.Namespace, m: int, words: float, what: str) -> None:
@@ -286,7 +287,7 @@ def cmd_witnesses(args: argparse.Namespace) -> int:
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
-    if args.table or args.plot_data:
+    if args.table:
         rows = bound_table(args.n_max, sat_certified=args.sat_certified)
         if args.format == "json":
             _print_json({"rows": [dataclasses.asdict(r) for r in rows]})
@@ -295,7 +296,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     if args.n is None:
-        raise UsageError("--n is required unless --table/--plot-data is used")
+        raise UsageError("--n is required unless --table is used")
     n = args.n
     if n < 1:
         raise UsageError("--n must be >= 1")
@@ -751,9 +752,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None, help="blue color count")
     p.add_argument("--k", type=int, default=None, help="evaluate the union bound at this k")
     p.add_argument("--table", action="store_true", help="emit the bound table as CSV")
-    p.add_argument(
-        "--plot-data", action="store_true", help="alias of --table for plotting"
-    )
     p.add_argument("--n-max", type=int, default=40, help="last row of the table")
     p.add_argument(
         "--no-sat-certified", dest="sat_certified", action="store_false",

@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
+from itertools import islice
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -535,65 +536,48 @@ def verify_group_representation(
     colors = spec.diversity_colors()
     if not set(coloring.parts) <= set(colors):
         raise ValueError("coloring has parts that are not colors of the algebra")
+    found = _representation_violations(coloring, spec)
+    violations = tuple(found if collect_all else islice(found, 1))
+    return VerifyResult(not violations, violations)
 
-    violations: list[Violation] = []
 
-    def note(v: Violation) -> bool:
-        violations.append(v)
-        return not collect_all
-
+def _representation_violations(
+    coloring: GroupColoring, spec: AlgebraSpec
+) -> Iterator[Violation]:
+    """The violations `verify_group_representation` reports, in its scan
+    order; each sumset is computed when the scan first reaches it."""
+    colors = spec.diversity_colors()
     empty = CubeSubset.empty(coloring.m)
-    parts: dict[ColorId, CubeSubset] = {}
+    parts = {c: coloring.parts.get(c, empty) for c in colors}
     for c in colors:
-        part = coloring.parts.get(c, empty)
-        parts[c] = part
-        if not part:
-            if note(
-                Violation("missing-part", c, None, None,
-                          f"no points realize color {spec.color_name(c)}")
-            ):
-                return VerifyResult(False, tuple(violations))
-
+        if not parts[c]:
+            yield Violation("missing-part", c, None, None,
+                            f"no points realize color {spec.color_name(c)}")
     sums: dict[frozenset[ColorId], CubeSubset] = {}
-
-    def sum_of(c1: ColorId, c2: ColorId) -> CubeSubset:
-        key = frozenset((c1, c2))
-        if key not in sums:
-            sums[key] = sumset(parts[c1], parts[c2])
-        return sums[key]
-
     for c1 in colors:
         for c2 in colors:
-            s = sum_of(c1, c2)
+            key = frozenset((c1, c2))
+            if key not in sums:
+                sums[key] = sumset(parts[c1], parts[c2])
+            s = sums[key]
             n1, n2 = spec.color_name(c1), spec.color_name(c2)
             if (0 in s) != (c1 == c2):
                 expect = "contain" if c1 == c2 else "omit"
-                if note(
-                    Violation("identity-wrong", c1, c2, 0,
-                              f"{n1}+{n2} must {expect} 0")
-                ):
-                    return VerifyResult(False, tuple(violations))
+                yield Violation("identity-wrong", c1, c2, 0, f"{n1}+{n2} must {expect} 0")
             for c3 in colors:
                 n3 = spec.color_name(c3)
                 if is_mandatory(spec, c1, c2, c3):
                     missing = parts[c3] - s
                     if missing:
                         z = missing.min_element()
-                        if note(
-                            Violation("missing-need", c1, c2, z,
-                                      f"{z} (color {n3}) unreachable as {n1}+{n2}")
-                        ):
-                            return VerifyResult(False, tuple(violations))
+                        yield Violation("missing-need", c1, c2, z,
+                                        f"{z} (color {n3}) unreachable as {n1}+{n2}")
                 else:
                     hit = parts[c3] & s
                     if hit:
                         z = hit.min_element()
-                        if note(
-                            Violation("forbidden-hit", c1, c2, z,
-                                      f"{z} (color {n3}) produced by forbidden {n1}+{n2}")
-                        ):
-                            return VerifyResult(False, tuple(violations))
-    return VerifyResult(not violations, tuple(violations))
+                        yield Violation("forbidden-hit", c1, c2, z,
+                                        f"{z} (color {n3}) produced by forbidden {n1}+{n2}")
 
 
 # ---------------------------------------------------------------------------

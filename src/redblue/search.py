@@ -15,9 +15,10 @@ it (`_broken`).  `iter_trials` is the one trial loop, with or without
 repair; `monte_carlo` tallies it.  The transform route derives the last
 part of each layer, and the count rows of two last parts, by subtraction
 from the layers' transforms, which the split's base computed once when it
-was built (`cube.LayerPartition`).  The climber scores each proposed move
-from its kept counts before making it, and keeps the pool of elements to
-move up to date from the tally entries that changed.
+was built (`cube.LayerPartition`).  The climber works on color codes; it
+scores each proposed move by one scan of its kept counts, makes an
+accepted move by writing what that scan found, and keeps the pool of
+elements to move up to date from the tally entries that changed.
 """
 
 from __future__ import annotations
@@ -358,22 +359,38 @@ def violations_naive(s: SplitState, spec: AlgebraSpec) -> ViolationReport:
 # ---------------------------------------------------------------------------
 
 
+class _Move(NamedTuple):
+    """A proposed recoloring of element e from code `old` to `new`, with
+    what `_ClimbEngine.propose` read and `_ClimbEngine.apply` writes: per
+    count row the move touches, the positions, their counts before the
+    move and the step they take; the tally changes where a count crosses
+    zero; and e's own tally under `new`."""
+
+    e: int
+    old: int
+    new: int
+    count: int  # the violation count after the move
+    total: int  # the tally sum after the move
+    rows: list[tuple[int, np.ndarray, np.ndarray, int]]  # (count row, positions, counts, step)
+    crossed: list[tuple[int, np.ndarray, np.ndarray]]  # (tally row, positions, changes)
+    own: np.ndarray
+
+
 class _ClimbEngine:
     """Incremental violation bookkeeping for single-element moves.
 
-    Works on int8 color codes (`AlgebraSpec.color_index`).  Keeps a
-    writable copy of the split's labels, each color's elements, one count
-    row per unordered pair of colors (a pair and its mirror share it), and
-    a tally per position of the rules it breaks, in three rows by the
-    layers of the rule's pair: RR, RB and BB.  Moving e into or out of
-    color c changes row {c, d} only at e XOR D, for each color d with
-    elements D; only the positions where such a count crosses zero are
-    re-judged, by the `leave_zero` column of the spec's `_rule_table`, and
-    e itself is re-scored under its new label by `_broken`.  `move`
-    makes that change for one element, out of its color and then in.
-    `violation_count` is the running total plus one per empty part;
-    `count_after` reads the same number for a proposed move from the kept
-    counts and writes nothing, so a rejected move costs no update.
+    Works on int color codes (`AlgebraSpec.color_index`) throughout.
+    Keeps a writable copy of the split's labels, each color's elements,
+    one count row per unordered pair of colors (a pair and its mirror
+    share it), and a tally per position of the rules it breaks, in three
+    rows by the layers of the rule's pair: RR, RB and BB.  Moving e from
+    color a to color b changes row {a, d} and row {b, d} only at e XOR D,
+    for each color d with elements D; only the positions where such a
+    count crosses zero are re-judged, by the `leave_zero` column of the
+    spec's `_rule_table`, and e itself is re-scored under b.  `propose`
+    makes that one scan against the kept counts and writes nothing, so a
+    rejected move costs no update; `apply` writes what it found.
+    `violation_count` is the running total plus one per empty part.
     `move_pool` keeps each movable layer's reach, the XOR convolution of
     the tallies with the layer indicators: the first call takes a few
     transforms (the layers' own are the `fwd` of the base), and each later
@@ -383,90 +400,88 @@ class _ClimbEngine:
     def __init__(self, state: SplitState, spec: AlgebraSpec):
         self.base = state.base
         self.p, self.q = state.p, state.q
-        self.spec = spec
-        self.colors = spec.diversity_colors()
-        self.table = _rule_table(spec)
+        self.table = table = _rule_table(spec)
         self.labels = state.labels.copy()
-        self.members = [np.flatnonzero(self.labels == code) for code in range(len(self.colors))]
+        self.members = [np.flatnonzero(self.labels == code) for code in range(spec.num_diversity)]
         self.counts = _counts(state, spec, naive=False)
-        self.tally = np.zeros((3, 1 << state.base.m), dtype=np.int64)
-        labeled = np.flatnonzero(self.labels >= 0)
-        self.tally[:, labeled] = self._score(labeled)
+        n = 1 << state.base.m
+        self.tally = np.empty((3, n), dtype=np.int64)
+        # judged in blocks of positions: a position takes up to 16 bytes per
+        # count row while judged (bool judgements and their int64 cast), so
+        # a block stays within 256 KiB
+        block = max(1, 2**18 // (16 * len(table.unordered)))
+        for lo in range(0, n, block):
+            at = slice(lo, lo + block)
+            self.tally[:, at] = table.weights @ _broken(table, self.counts, self.labels, at)
+        self.tally[:, self.labels < 0] = 0
         self.total = int(self.tally.sum())
         self.reach: dict[int, np.ndarray] = {}  # movable layer -> its reach, once computed
         self.reached = np.empty_like(self.tally)  # the tally the reach is of
 
-    def _score(self, at: int | np.ndarray) -> np.ndarray:
-        """Rules broken at labeled position(s) `at`, per layer group."""
-        return self.table.weights @ _broken(self.table, self.counts, self.labels, at)
-
-    def _shift(self, code: int, e: int, sign: int) -> None:
-        """Count element e in (+1) or out of (-1) color `code`; e is
-        unlabeled meanwhile and in no member list."""
-        table = self.table
-        for d, xs in enumerate(self.members):
-            u = table.row[code, d]
-            z = xs ^ e
-            counts = self.counts[u]
-            before = counts[z]
-            after = before + (2 * sign if d == code else sign)  # (e, x) and (x, e)
-            counts[z] = after
-            crossed = z[(before if sign > 0 else after) == 0]
-            if crossed.size:
-                delta = table.leave_zero[u, self.labels[crossed]]
-                if sign < 0:
-                    delta = -delta
-                self.tally[table.group[u], crossed] += delta
-                self.total += int(delta.sum())
-        self.counts[table.row[code, code], 0] += sign  # the pair (e, e)
-
-    def move(self, e: int, new: ColorId) -> None:
-        """Recolor labeled element e: count it out of its color, then into `new`."""
-        old = int(self.labels[e])
-        self.total -= int(self.tally[:, e].sum())
-        self.tally[:, e] = 0
-        self.labels[e] = -1
-        xs = self.members[old]
-        self.members[old] = xs[xs != e]
-        self._shift(old, e, -1)
-        code = self.spec.color_index(new)
-        self._shift(code, e, +1)
-        self.labels[e] = code
-        self.members[code] = np.append(self.members[code], e)
-        self.tally[:, e] = self._score(e)
-        self.total += int(self.tally[:, e].sum())
-
     def violation_count(self) -> int:
         return self.total + sum(xs.size == 0 for xs in self.members)
 
-    def count_after(self, e: int, old: ColorId, new: ColorId) -> int:
-        """`violation_count()` after moving e from its color `old` to another
-        color `new`, read from the kept counts; nothing is written.
+    def options(self, e: int) -> range:
+        """The codes of e's layer."""
+        return range(self.p) if self.base.layers[0][e] else range(self.p, self.p + self.q)
 
-        Taking e out of `old` changes row {old, d} at (D without e) XOR e,
-        and putting it into `new` changes row {new, d} there.  The two
-        sets of (row, position) pairs are disjoint, so their `leave_zero`
-        changes add, each judged against today's counts.  The member list
-        of `old` still holds e, whose term lands on position 0: labeled -1,
-        it is never tallied.  e's own count column does not change, since
-        0 is in no part, so e is re-scored under `new` as it stands.
+    def propose(self, e: int, b: int) -> _Move:
+        """Score recoloring labeled element e to another code b of its
+        layer from the kept counts; nothing is written.
+
+        Taking e out of its code a lowers row {a, d} at D XOR e, and
+        putting it into b raises row {b, d} there, by one per ordered pair
+        (two for d = a or b: (e, x) and (x, e)).  The two sets of (row,
+        position) pairs are disjoint, so each is judged against today's
+        counts.  D still holds e for d = a, whose terms land on position
+        0: labeled -1, it is never tallied, and `apply` sets its counts
+        right.  e's own count column does not change, since 0 is in no
+        part, so e is re-scored under b as it stands.
         """
         table = self.table
-        a, b = self.spec.color_index(old), self.spec.color_index(new)
-        count = self.total - int(self.tally[:, e].sum())
+        a = int(self.labels[e])
+        total = self.total - int(self.tally[:, e].sum())
+        rows, crossed = [], []
         for d, xs in enumerate(self.members):
             z = xs ^ e
-            # the count a row must have to reach 0 as e leaves, or leave it as e joins
-            for code, sign, zero in ((a, -1, 2 if d == a else 1), (b, 1, 0)):
+            for code, sign in ((a, -1), (b, 1)):
                 u = table.row[code, d]
-                crossed = z[self.counts[u][z] == zero]
-                if crossed.size:
-                    count += sign * int(table.leave_zero[u, self.labels[crossed]].sum())
-        count += int((table.weights @ ((self.counts[:, e] == 0) == table.need[b])).sum())
+                step = 2 * sign if d == code else sign
+                before = self.counts[u][z]
+                rows.append((u, z, before, step))
+                # the count reaches 0 as e leaves (it was the step's size),
+                # or leaves 0 as e joins
+                at = z[before == (-step if sign < 0 else 0)]
+                if at.size:
+                    delta = sign * table.leave_zero[u, self.labels[at]]
+                    crossed.append((table.group[u], at, delta))
+                    total += int(delta.sum())
+        own = table.weights @ ((self.counts[:, e] == 0) == table.need[b])
+        total += int(own.sum())
         sizes = [xs.size for xs in self.members]
         sizes[a] -= 1
         sizes[b] += 1
-        return count + sizes.count(0)
+        return _Move(e, a, b, total + sizes.count(0), total, rows, crossed, own)
+
+    def apply(self, move: _Move) -> None:
+        """Make a proposed move, writing what `propose` found."""
+        e, a, b = move.e, move.old, move.new
+        for u, z, before, step in move.rows:
+            self.counts[u][z] = before + step
+        # position 0 of D XOR e for d = a was e XOR e: the pair (e, e)
+        # leaves {a, a} once, not twice, is no pair of {a, b}, and joins {b, b}
+        row = self.table.row
+        self.counts[row[a, a], 0] += 1
+        self.counts[row[a, b], 0] -= 1
+        self.counts[row[b, b], 0] += 1
+        for g, at, delta in move.crossed:
+            self.tally[g, at] += delta
+        self.tally[:, e] = move.own
+        self.total = move.total
+        self.labels[e] = b
+        xs = self.members[a]
+        self.members[a] = xs[xs != e]
+        self.members[b] = np.append(self.members[b], e)
 
     def move_pool(self) -> np.ndarray:
         """Elements implicated in some violation and free to change part.
@@ -505,15 +520,6 @@ class _ClimbEngine:
             pool |= self.base.layers[at] & (broken | (self.reach[at] != 0))
         return pool
 
-    def color_of(self, e: int) -> ColorId:
-        code = self.labels[e]
-        if code < 0:
-            raise KeyError(e)
-        return self.colors[code]
-
-    def options_for(self, e: int) -> tuple[ColorId, ...]:
-        return self.colors[: self.p] if self.base.layers[0][e] else self.colors[self.p :]
-
     def to_state(self, seed: int) -> SplitState:
         return SplitState(self.base, self.p, self.q, seed, labels=self.labels)
 
@@ -537,9 +543,10 @@ def hill_climb(
     potential witness) to a uniformly drawn other part of its layer.
     Moves are accepted when the violation count does not increase, so the
     trace of (move index, count) at each accepted move is nonincreasing.
-    A proposal is scored from the engine's kept counts (`count_after`)
-    and applied only when accepted; the count recorded is then the
-    engine's own.
+    Elements and parts are the engine's int color codes throughout.  A
+    proposal is scored by one scan of the engine's kept counts
+    (`_ClimbEngine.propose`) and, only when accepted, applied from what
+    that scan found; the count recorded is then the engine's own.
     With `anneal`, uphill moves are also accepted with probability
     exp(-delta/T) under a geometric cooling schedule (`START_TEMP`,
     `COOLING`), and the trace may increase.  Stops at zero violations or
@@ -562,15 +569,13 @@ def hill_climb(
         if count == 0 or pool.size == 0:
             break
         e = int(pool[rng.randrange(pool.size)])
-        old = engine.color_of(e)
-        options = [c for c in engine.options_for(e) if c != old]
-        new = options[rng.randrange(len(options))]
-        candidate = engine.count_after(e, old, new)
-        accept = candidate <= count
+        options = [c for c in engine.options(e) if c != engine.labels[e]]
+        proposal = engine.propose(e, options[rng.randrange(len(options))])
+        accept = proposal.count <= count
         if not accept and anneal and temp > 1e-12:
-            accept = rng.random() < np.exp(-(candidate - count) / temp)
+            accept = rng.random() < np.exp(-(proposal.count - count) / temp)
         if accept:
-            engine.move(e, new)
+            engine.apply(proposal)
             count = engine.violation_count()
             trace.append((move, count))
             pool = np.nonzero(engine.move_pool())[0]

@@ -171,7 +171,7 @@ def test_bounds_table_csv(capsys):
 
 def test_bounds_table_to_file(capsys, tmp_path):
     path = tmp_path / "bounds.csv"
-    code, out = run(capsys, "bounds", "--plot-data", "--n-max", "3", "--out", str(path))
+    code, out = run(capsys, "bounds", "--table", "--n-max", "3", "--out", str(path))
     assert code == 0 and "wrote" in out
     assert path.read_text() == "n,lower,upper,log2_upper\n2,26,1024,10\n3,31,,\n"
 

@@ -285,10 +285,10 @@ def test_engine_incremental_matches_fresh(part1):
         (13, blue(1)), (15, blue(0)), (11, blue(1)),
     ]
     for e, target in moves:
-        current = engine.color_of(e)
-        if current == target:
+        code = TWO_BLUE.color_index(target)
+        if engine.labels[e] == code:
             continue
-        engine.move(e, target)
+        engine.apply(engine.propose(e, code))
         fresh = violations(engine.to_state(0), TWO_BLUE)
         key = lambda t: (t[0], t[1].first.kind, t[1].first.index,
                          t[1].second.kind, t[1].second.index)
@@ -309,9 +309,9 @@ def test_engine_moves_in_both_layers_match_fresh(part2):
     reds = sorted(part2.R.elements())[:4]
     blues = sorted(part2.B.elements())[:4]
     for e in [reds[0], blues[0], reds[1], blues[1], reds[0], blues[2], reds[3], blues[0]]:
-        current = engine.color_of(e)
-        target = next(c for c in engine.options_for(e) if c != current)
-        engine.move(e, target)
+        current = engine.labels[e]
+        target = next(c for c in engine.options(e) if c != current)
+        engine.apply(engine.propose(e, target))
         fresh = violations(engine.to_state(0), spec)
         assert engine.violation_count() == fresh.count
         assert sorted(_engine_entries(engine), key=key) == sorted(
@@ -695,23 +695,26 @@ def test_engine_tallies_match_fresh_recount(shape, k, seed):
     engine = _ClimbEngine(SplitState(part, p, q, seed, labels=labels), spec)
 
     def check():
-        fresh = violations(engine.to_state(0), spec)
+        state = engine.to_state(0)
+        fresh = violations(state, spec)
         assert engine.violation_count() == fresh.count
+        # every count, position 0 included, which no rule judges
+        assert np.array_equal(engine.counts, _counts(state, spec, naive=False))
         reference = _reference_move_pool(part, p, q, fresh.unsatisfied + fresh.forbidden)
         assert np.array_equal(engine.move_pool(), reference)
 
     def move(e, new):
-        engine.move(e, new)
+        engine.apply(engine.propose(e, new))
         check()
 
     check()
-    move(lone, spec.color_at(p))  # empties the last blue part
+    move(lone, p)  # empties the last blue part
     assert spec.color_at(p + q - 1) in violations(engine.to_state(0), spec).empty_parts
     movable = np.flatnonzero(labels >= (0 if p > 1 else p))  # p = 1 pins the red layer
     for _ in range(8):
         e = int(movable[rng.randrange(movable.size)])
-        old = engine.color_of(e)
-        options = [c for c in engine.options_for(e) if c != old]
+        old = int(engine.labels[e])
+        options = [c for c in engine.options(e) if c != old]
         move(e, options[rng.randrange(len(options))])
         if rng.random() < 0.5:  # rejected: undo it
             move(e, old)
@@ -723,7 +726,7 @@ def test_engine_tallies_match_fresh_recount(shape, k, seed):
     st.integers(min_value=1, max_value=3),
     st.integers(min_value=0, max_value=2**32 - 1),
 )
-def test_count_after_scores_without_writing(shape, k, seed):
+def test_propose_scores_without_writing(shape, k, seed):
     p, q = shape
     spec = AlgebraSpec(p, q)
     part = layer_partition(k)
@@ -737,26 +740,25 @@ def test_count_after_scores_without_writing(shape, k, seed):
     engine = _ClimbEngine(SplitState(part, p, q, seed, labels=labels), spec)
 
     def propose(e, new):
-        old = engine.color_of(e)
         kept = (engine.labels.copy(), engine.counts.copy(), engine.tally.copy(),
                 [xs.copy() for xs in engine.members], engine.total)
-        score = engine.count_after(e, old, new)
+        move = engine.propose(e, new)
         assert np.array_equal(engine.labels, kept[0])
         assert np.array_equal(engine.counts, kept[1])
         assert np.array_equal(engine.tally, kept[2])
         assert all(map(np.array_equal, engine.members, kept[3]))
         assert engine.total == kept[4]
-        engine.move(e, new)
-        assert score == engine.violation_count() == violations(engine.to_state(0), spec).count
+        engine.apply(move)
+        assert move.count == engine.violation_count() == violations(engine.to_state(0), spec).count
 
-    last = spec.color_at(p + q - 1)
-    propose(lone, spec.color_at(p))  # empties the last blue part
+    last = p + q - 1
+    propose(lone, p)  # empties the last blue part
     propose(int(blues[rng.randrange(blues.size)]), last)  # fills it again
     movable = np.flatnonzero(labels >= (0 if p > 1 else p))  # p = 1 pins the red layer
     for _ in range(8):
         e = int(movable[rng.randrange(movable.size)])
-        old = engine.color_of(e)
-        propose(e, rng.choice([c for c in engine.options_for(e) if c != old]))
+        old = int(engine.labels[e])
+        propose(e, rng.choice([c for c in engine.options(e) if c != old]))
         if rng.random() < 0.5:  # and back
             propose(e, old)
 
