@@ -559,6 +559,7 @@ def _report_outcome(args: argparse.Namespace, outcome, formula: CnfFormula) -> N
             "solver": outcome.solver,
             "seconds": round(outcome.seconds, 3),
             "detail": outcome.detail or None,
+            "stats": dict(outcome.stats),
         }
         if outcome.coloring is not None and formula.points:
             spec = formula.spec
@@ -693,7 +694,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     # flags only some commands read, each defined once
     seed = _flag("--seed", type=int, default=0, help="base seed for randomized work")
-    threads = _flag("--threads", type=int, default=1, help="cap on worker threads")
+    threads = _flag(
+        "--threads", type=int, default=1,
+        help="cap on worker threads; only external solvers run in parallel, "
+        "in-process solves share one interpreter",
+    )
     memory = _flag(
         "--memory-cap-mb", type=int, default=None, metavar="MIB",
         help="refuse work estimated above this many MiB",

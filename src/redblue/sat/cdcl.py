@@ -7,10 +7,12 @@ SAT 2009); VSIDS branching; Luby restarts; phase saving; and deletion of
 the less active half of the learned clauses.  It needs only the standard
 library.
 
-Every learned clause and every deletion goes into `Cdcl.proof`.  `main()`
-reports UNSATISFIABLE only after `redblue.sat.proof.check_rup`, which
-shares no propagation code with the solver, has accepted that log; a log
-it rejects is reported as UNKNOWN.
+Every learned clause and every deletion goes into `Cdcl.proof`.
+`solve_checked` calls a formula unsatisfiable only after
+`redblue.sat.proof.check_rup`, which shares no propagation code with the
+solver, has accepted that log; a log it rejects leaves the formula
+undecided.  `main()` and the in-process route of `redblue.sat.solve.solve`
+both decide through it.
 
 Command line: `python -m redblue.sat.cdcl FILE.cnf`, the `bin/redblue-cdcl`
 launcher, or the `redblue-cdcl` console script.  Output follows the SAT
@@ -22,10 +24,12 @@ lines carry the search statistics and the proof-check time.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from heapq import heapify, heappop, heappush
+from typing import NamedTuple
 
 from .dimacs import parse_dimacs
 from .proof import ADD, DELETE, ProofStep, check_rup
@@ -355,13 +359,17 @@ class Cdcl:
 
     # -- search -------------------------------------------------------------
 
-    def solve(self) -> bool:
-        """Decide the clause set: True with a total model, or False with a refutation."""
+    def solve(self, deadline: float = math.inf) -> bool:
+        """Decide the clause set: True with a total model, or False with a refutation.
+
+        Raises TimeoutError at the first conflict after `deadline`, a
+        `time.perf_counter()` reading.
+        """
         if not self.ok:
             self.proof.append((ADD, ()))
             return False
         while True:
-            verdict = self._search(luby(self.stats["restarts"]) * RESTART_BASE)
+            verdict = self._search(luby(self.stats["restarts"]) * RESTART_BASE, deadline)
             if verdict is not None:
                 return verdict
             self.stats["restarts"] += 1
@@ -369,7 +377,7 @@ class Cdcl:
     def model(self) -> dict[int, bool]:
         return {v: self.value[2 * v] == 1 for v in range(1, self.num_vars + 1)}
 
-    def _search(self, budget: int) -> bool | None:
+    def _search(self, budget: int, deadline: float) -> bool | None:
         stats = self.stats
         conflicts = 0
         while True:
@@ -380,6 +388,8 @@ class Cdcl:
                 if not self.trail_lim:
                     self.proof.append((ADD, ()))
                     return False
+                if time.perf_counter() > deadline:
+                    raise TimeoutError
                 learnt, backjump = self._analyze(conflict)
                 self._cancel_until(backjump)
                 self._learn(learnt)
@@ -425,6 +435,64 @@ class Cdcl:
         return 0
 
 
+class Checked(NamedTuple):
+    """What `solve_checked` decided, and what it cost.
+
+    `satisfiable` is True with a total `model`, False once the refutation
+    has been checked, or None with the reason in `detail`.  `stats` holds
+    `Cdcl.stats`, "solve seconds" and, when a refutation was checked,
+    "proof steps" and "proof check seconds".
+    """
+
+    satisfiable: bool | None
+    model: dict[int, bool] | None
+    stats: dict[str, float]
+    detail: str = ""
+
+
+def solve_checked(
+    num_vars: int, clauses: Sequence[Sequence[int]], timeout: float | None = None
+) -> Checked:
+    """Solve with `Cdcl`, then check a refutation before calling it UNSAT.
+
+    The module global `check_rup` replays `Cdcl.proof` against `clauses`;
+    a proof it rejects leaves the formula undecided.  Past `timeout`
+    seconds, in the search or in the check, the formula is undecided too.
+    """
+    start = time.perf_counter()
+    deadline = math.inf if timeout is None else start + timeout
+    solver = Cdcl(num_vars, clauses)
+    try:
+        satisfiable = solver.solve(deadline)
+    except TimeoutError:
+        satisfiable = None
+    stats: dict[str, float] = {**solver.stats, "solve seconds": time.perf_counter() - start}
+    if satisfiable:
+        return Checked(True, solver.model(), stats)
+    if satisfiable is None:
+        return Checked(None, None, stats, f"timeout after {timeout:g}s")
+    start = time.perf_counter()
+    try:
+        accepted = check_rup(num_vars, clauses, _steps_until(deadline, solver.proof))
+    except TimeoutError:
+        accepted = None
+    stats["proof steps"] = len(solver.proof)
+    stats["proof check seconds"] = time.perf_counter() - start
+    if accepted is None:
+        return Checked(None, None, stats, f"timeout after {timeout:g}s")
+    if not accepted:
+        return Checked(None, None, stats, "proof check failed: refutation not accepted")
+    return Checked(False, None, stats)
+
+
+def _steps_until(deadline: float, proof: list[ProofStep]) -> Iterator[ProofStep]:
+    """The proof's steps, raising TimeoutError once `deadline` has passed."""
+    for step in proof:
+        if time.perf_counter() > deadline:
+            raise TimeoutError
+        yield step
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     """Solve one DIMACS file and print the verdict in SAT-competition form."""
     parser = argparse.ArgumentParser(
@@ -440,27 +508,18 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"c error: {exc}", file=sys.stderr)
         return 2
 
-    start = time.perf_counter()
-    solver = Cdcl(num_vars, clauses)
-    satisfiable = solver.solve()
-    solve_s = time.perf_counter() - start
-    for name, count in solver.stats.items():
-        print(f"c {name}: {count}")
-    print(f"c solve seconds: {solve_s:.3f}")
-    if satisfiable:
+    checked = solve_checked(num_vars, clauses)
+    for name, value in checked.stats.items():
+        print(f"c {name}: {value:.3f}" if isinstance(value, float) else f"c {name}: {value}")
+    if checked.satisfiable:
         print("s SATISFIABLE")
-        literals = [v if val else -v for v, val in solver.model().items()]
+        literals = [v if val else -v for v, val in checked.model.items()]
         for i in range(0, len(literals), 20):
             print("v " + " ".join(map(str, literals[i : i + 20])))
         print("v 0")
         return 10
-
-    start = time.perf_counter()
-    accepted = check_rup(num_vars, clauses, solver.proof)
-    print(f"c proof steps: {len(solver.proof)}")
-    print(f"c proof check seconds: {time.perf_counter() - start:.3f}")
-    if not accepted:
-        print("c proof check failed: refutation not accepted")
+    if checked.satisfiable is None:
+        print(f"c {checked.detail}")
         print("s UNKNOWN")
         return 0
     print("s UNSATISFIABLE")

@@ -1,23 +1,25 @@
-"""Solver drivers: external CDCL bridge and a small builtin DPLL.
+"""Solver drivers: the in-repo CDCL in process, or an external solver.
+
+With no solver configured, `solve` runs `redblue.sat.cdcl` in this
+process through `cdcl.solve_checked`: an UNSAT verdict stands only once
+the independent RUP checker in `redblue.sat.proof` has accepted the
+solver's learned-clause log, and a log it rejects gives UNKNOWN.
 
 The external bridge runs `<solver> <file.cnf>` and reads SAT-competition
 output (`s SATISFIABLE` / `s UNSATISFIABLE`, `v` literal lines; exit codes
-10/20 are honored as a fallback).  Results are never taken on faith:
-claimed models are re-verified against the original clauses, decoded to an
-edge coloring, and, when the encoding promises complete representation
-semantics, re-checked by the brute-force representation checker.  UNSAT
-claims from an external solver are delegated trust, as usual for lower
-bounds of this kind.  The in-repo solver (`redblue.sat.cdcl`, run as
-`bin/redblue-cdcl` or `redblue-cdcl`) prints UNSATISFIABLE only after the
-independent RUP checker in `redblue.sat.proof` has accepted its
-learned-clause log; otherwise it prints UNKNOWN, which this bridge reports
-as UNKNOWN.
+10/20 are honored as a fallback), plus the `c name: value` counter lines
+that `redblue-cdcl` prints.  UNSAT claims from an external solver are
+delegated trust, as usual for lower bounds of this kind; the in-repo
+solver run as `bin/redblue-cdcl` or `redblue-cdcl` checks its proof in its
+own process and prints UNKNOWN for a rejected one.
 
-The builtin solver is a DPLL, capped by variable count: unit propagation
-with two watched literals over one trail, branching on the lowest
-unassigned variable (True first, then False) and chronological
-backtracking.  It learns no clauses; it exists so that small instances and
-tests run with zero external dependencies, not for the lower-bound ladder.
+Results are never taken on faith: on either route, claimed models are
+re-verified against the original clauses, decoded to an edge coloring,
+and, when the encoding promises complete representation semantics,
+re-checked by the brute-force representation checker.
+
+`dpll`, a DPLL without clause learning, is kept as a reference for tests;
+`solve` does not call it.
 """
 
 from __future__ import annotations
@@ -27,14 +29,16 @@ import shutil
 import subprocess
 import tempfile
 import time
-from dataclasses import dataclass, replace
+from collections.abc import Mapping
+from dataclasses import dataclass, field, replace
 
 from ..repcheck import EdgeColoring, check_representation
+from .cdcl import solve_checked
 from .dimacs import to_dimacs
 from .encode import Clause, CnfFormula, decode_model
 
 SOLVER_ENV_VAR = "REDBLUE_SOLVER"
-DPLL_VAR_CAP = 2000
+BUILTIN = "builtin-cdcl"
 
 SAT = "SAT"
 UNSAT = "UNSAT"
@@ -42,7 +46,7 @@ UNKNOWN = "UNKNOWN"
 
 
 class SolverUnavailableError(RuntimeError):
-    """No external solver configured and the builtin cannot take the instance."""
+    """The configured solver is not an executable."""
 
 
 @dataclass(frozen=True)
@@ -53,6 +57,8 @@ class SolveOutcome:
     solver: str
     seconds: float
     detail: str = ""
+    # solver counters: conflicts, decisions, ..., "proof check seconds"
+    stats: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.status not in (SAT, UNSAT, UNKNOWN):
@@ -77,12 +83,19 @@ def default_solver() -> str | None:
 _STATUS_LINES = {"SATISFIABLE": SAT, "UNSATISFIABLE": UNSAT, "UNKNOWN": UNKNOWN}
 
 
-def _parse_solver_output(stdout: str, returncode: int) -> tuple[str | None, list[int]]:
-    """Verdict and model literals; the verdict is None when neither an
-    `s` line nor the exit code (10 SAT, 20 UNSAT) gives one, or when a `v`
-    line holds a token that is not an integer."""
+def _parse_solver_output(
+    stdout: str, returncode: int
+) -> tuple[str | None, list[int], dict[str, float]]:
+    """Verdict, model literals and counters.
+
+    The verdict is None when neither an `s` line nor the exit code (10 SAT,
+    20 UNSAT) gives one, or when a `v` line holds a token that is not an
+    integer.  The counters come from `c name: value` lines whose value is
+    one number, as `redblue-cdcl` prints them; other comments are skipped.
+    """
     status = None
     literals: list[int] = []
+    stats: dict[str, float] = {}
     for line in stdout.splitlines():
         line = line.strip()
         if line.startswith("s "):
@@ -91,12 +104,18 @@ def _parse_solver_output(stdout: str, returncode: int) -> tuple[str | None, list
             try:
                 literals.extend(int(tok) for tok in line[1:].split())
             except ValueError:
-                return None, []
+                return None, [], stats
+        elif line.startswith("c ") and ": " in line:
+            name, _, value = line[2:].partition(": ")
+            try:
+                stats[name.strip()] = float(value) if "." in value else int(value)
+            except ValueError:
+                pass
     if status is None:
         status = {10: SAT, 20: UNSAT}.get(returncode)
     if literals and literals[-1] == 0:
         literals.pop()
-    return status, literals
+    return status, literals, stats
 
 
 def _verify_model(clauses: list[Clause], assignment: dict[int, bool]) -> None:
@@ -118,26 +137,25 @@ def solve(
     """Decide a formula with the configured solver and re-certify the result.
 
     Resolution order: explicit `solver` path, then the REDBLUE_SOLVER
-    environment variable, then the builtin DPLL when the variable count is
-    within `DPLL_VAR_CAP`.  Crashes and timeouts surface as UNKNOWN with the
-    diagnostic in `detail`; a model that fails re-verification (or decodes
-    to an invalid representation when the encoding claims completeness) is
-    a hard error.
+    environment variable, then the in-repo CDCL in this process, whose
+    UNSAT verdict stands only with a proof that `check_rup` accepted.
+    `timeout` bounds either route.  Crashes, timeouts and rejected proofs
+    surface as UNKNOWN with the diagnostic in `detail`; a model that fails
+    re-verification (or decodes to an invalid representation when the
+    encoding claims completeness) is a hard error.
     """
     solver = solver or default_solver()
     clauses = list(formula.clauses())
     if solver is None:
-        if formula.num_vars > DPLL_VAR_CAP:
-            raise SolverUnavailableError(
-                f"{formula.num_vars} variables exceed the builtin cap {DPLL_VAR_CAP}; "
-                f"set {SOLVER_ENV_VAR} or pass a solver path"
-            )
         start = time.perf_counter()
-        sat, assignment = dpll(formula.num_vars, clauses)
+        checked = solve_checked(formula.num_vars, clauses, timeout)
         elapsed = time.perf_counter() - start
-        if not sat:
-            return SolveOutcome(UNSAT, None, None, "builtin-dpll", elapsed)
-        return _certify(formula, clauses, assignment, "builtin-dpll", elapsed)
+        if checked.satisfiable:
+            return _certify(formula, clauses, checked.model, BUILTIN, elapsed, checked.stats)
+        status = UNKNOWN if checked.satisfiable is None else UNSAT
+        return SolveOutcome(
+            status, None, None, BUILTIN, elapsed, checked.detail, checked.stats
+        )
 
     start = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="redblue-cnf-") as tmp:
@@ -155,27 +173,27 @@ def solve(
             elapsed = time.perf_counter() - start
             return SolveOutcome(
                 UNKNOWN, None, None, solver, elapsed,
-                f"timeout after {timeout:.0f}s",
+                f"timeout after {timeout:g}s",
             )
         except OSError as exc:
             elapsed = time.perf_counter() - start
             return SolveOutcome(UNKNOWN, None, None, solver, elapsed, str(exc))
     elapsed = time.perf_counter() - start
-    status, literals = _parse_solver_output(proc.stdout, proc.returncode)
+    status, literals, stats = _parse_solver_output(proc.stdout, proc.returncode)
     if status is None:
         tail = (proc.stderr or proc.stdout or "").strip().splitlines()[-3:]
         return SolveOutcome(
             UNKNOWN, None, None, solver, elapsed,
-            "unrecognized solver output: " + " | ".join(tail),
+            "unrecognized solver output: " + " | ".join(tail), stats,
         )
     if status == UNKNOWN:
         return SolveOutcome(
-            UNKNOWN, None, None, solver, elapsed, "the solver answered UNKNOWN"
+            UNKNOWN, None, None, solver, elapsed, "the solver answered UNKNOWN", stats
         )
     if status == UNSAT:
-        return SolveOutcome(UNSAT, None, None, solver, elapsed)
+        return SolveOutcome(UNSAT, None, None, solver, elapsed, stats=stats)
     assignment = {abs(lit): lit > 0 for lit in literals}
-    return _certify(formula, clauses, assignment, solver, elapsed)
+    return _certify(formula, clauses, assignment, solver, elapsed, stats)
 
 
 def _certify(
@@ -184,11 +202,12 @@ def _certify(
     assignment: dict[int, bool],
     solver: str,
     elapsed: float,
+    stats: Mapping[str, float],
 ) -> SolveOutcome:
     _verify_model(clauses, assignment)
     if formula.points < 2:
         # foreign instance with no edge-variable geometry; nothing to decode
-        return SolveOutcome(SAT, dict(assignment), None, solver, elapsed)
+        return SolveOutcome(SAT, dict(assignment), None, solver, elapsed, stats=stats)
     base = {v: assignment.get(v, False) for v in range(1, formula.num_base_vars + 1)}
     coloring = decode_model(formula, base)
     if formula.full_check:
@@ -198,11 +217,11 @@ def _certify(
                 "model passed clause check but decodes to an invalid "
                 f"representation: {result.violations[0]}"
             )
-    return SolveOutcome(SAT, base, coloring, solver, elapsed)
+    return SolveOutcome(SAT, base, coloring, solver, elapsed, stats=stats)
 
 
 # ---------------------------------------------------------------------------
-# builtin DPLL
+# reference DPLL
 # ---------------------------------------------------------------------------
 
 

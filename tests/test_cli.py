@@ -381,7 +381,8 @@ def test_solve_builtin_round_trip(capsys, tmp_path, monkeypatch):
         "--q", "1", "--out", str(path))
     code, payload = run_json(capsys, "solve", "--cnf", str(path))
     assert code == 0 and payload["status"] == "UNSAT"
-    assert payload["solver"] == "builtin-dpll"
+    assert payload["solver"] == "builtin-cdcl"
+    assert payload["stats"]["proof steps"] >= 1
     assert run(capsys, "solve", "--cnf", str(path), "--expect", "unsat")[0] == 0
     assert run(capsys, "solve", "--cnf", str(path), "--expect", "sat")[0] == 1
 
@@ -415,12 +416,12 @@ def test_solve_unrecognized_model_exits_resource(capsys, tmp_path):
     assert "status: UNKNOWN" in out and "unrecognized solver output" in out
 
 
-def test_solve_builtin_cap_exits_resource(capsys, tmp_path, monkeypatch):
+def test_solve_builtin_refutes_basic_ten(capsys, tmp_path, monkeypatch):
     monkeypatch.delenv(SOLVER_ENV_VAR, raising=False)
     path = tmp_path / "big.cnf"
     run(capsys, "encode", "--points", "10", "--variant", "basic", "--out", str(path))
-    code, _ = run(capsys, "solve", "--cnf", str(path))
-    assert code == 3
+    code, out = run(capsys, "solve", "--cnf", str(path))
+    assert code == 0 and "status: UNSAT (builtin-cdcl" in out
 
 
 def test_solve_external_sat_decodes(capsys, tmp_path, solver):
@@ -446,13 +447,15 @@ def test_pipeline_usage_errors(capsys, tmp_path):
     assert run(capsys, *base, "--from", "2", "--to", "10")[0] == 2
 
 
-def test_pipeline_builtin_cap_exits_resource(capsys, tmp_path, monkeypatch):
+def test_pipeline_builtin_refutes_basic_ten(capsys, tmp_path, monkeypatch):
     monkeypatch.delenv(SOLVER_ENV_VAR, raising=False)
     code, _ = run(
         capsys, "pipeline", "--from", "10", "--to", "10",
         "--out-dir", str(tmp_path),
     )
-    assert code == 3
+    assert code == 0
+    summary = (tmp_path / "summary.csv").read_text()
+    assert summary == "points,variant,status\n10,basic,UNSAT\n"
 
 
 def test_pipeline_artifacts(capsys, tmp_path, solver):

@@ -7,6 +7,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -36,6 +37,7 @@ from redblue.sat.solve import (
     UNKNOWN,
     UNSAT,
     SolverUnavailableError,
+    _parse_solver_output,
     default_solver,
     dpll,
     enumerate_models,
@@ -588,7 +590,7 @@ def test_dpll_rejects_literals_outside_range():
 def test_builtin_solves_tiny_formula(monkeypatch):
     monkeypatch.delenv(SOLVER_ENV_VAR, raising=False)
     outcome = solve(tiny_formula())
-    assert outcome.status == SAT and outcome.solver == "builtin-dpll"
+    assert outcome.status == SAT and outcome.solver == "builtin-cdcl"
     assert outcome.coloring.is_total
 
 
@@ -597,17 +599,71 @@ def test_builtin_refutes_basic_ten_points(monkeypatch):
     # propagation alone refutes the basic encoding
     monkeypatch.delenv(SOLVER_ENV_VAR, raising=False)
     f = build_formula(10, "basic")
-    monkeypatch.setattr("redblue.sat.solve.DPLL_VAR_CAP", f.num_vars)
     outcome = solve(f)
     assert outcome.status == UNSAT
 
 
-def test_builtin_cap_raises(monkeypatch):
+def test_builtin_refutes_basic_ladder_with_checked_proofs(monkeypatch):
     monkeypatch.delenv(SOLVER_ENV_VAR, raising=False)
-    f = build_formula(17, "basic")
-    with pytest.raises(SolverUnavailableError) as err:
-        solve(f)
-    assert SOLVER_ENV_VAR in str(err.value)
+    checked = []
+    real_check = cdcl.check_rup
+
+    def spy(num_vars, clauses, proof):
+        checked.append(real_check(num_vars, clauses, proof))
+        return checked[-1]
+
+    monkeypatch.setattr(cdcl, "check_rup", spy)
+    for v in range(10, 15):
+        outcome = solve(build_formula(v, "basic"))
+        assert outcome.status == UNSAT and outcome.solver == "builtin-cdcl"
+        assert outcome.stats["proof steps"] >= 1
+    assert checked == [True] * 5
+
+
+def test_builtin_rejected_proof_is_unknown(monkeypatch):
+    monkeypatch.delenv(SOLVER_ENV_VAR, raising=False)
+    monkeypatch.setattr(cdcl, "check_rup", lambda n, clauses, proof: check_rup(n, clauses, []))
+    outcome = solve(parsed_formula(4, RUP_FORMULA))
+    assert outcome.status == UNKNOWN
+    assert "proof check failed" in outcome.detail
+
+
+def test_builtin_sat_answer_is_certified(monkeypatch):
+    monkeypatch.delenv(SOLVER_ENV_VAR, raising=False)
+    certified = []
+
+    def spy(coloring, spec):
+        certified.append(check_representation(coloring, spec))
+        return certified[-1]
+
+    monkeypatch.setattr("redblue.sat.solve.check_representation", spy)
+    f = all_edges_formula(8, ALGEBRA_ONE_BLUE)
+    outcome = solve(f)
+    assert outcome.status == SAT and outcome.solver == "builtin-cdcl"
+    assert [r.ok for r in certified] == [True]
+    assert decode_model(f, outcome.model) == outcome.coloring
+
+
+def test_builtin_timeout_surfaces_as_unknown(monkeypatch):
+    # basic V=17 takes seconds to refute; the search stops at the deadline
+    monkeypatch.delenv(SOLVER_ENV_VAR, raising=False)
+    outcome = solve(build_formula(17, "basic"), timeout=0.2)
+    assert outcome.status == UNKNOWN and outcome.detail == "timeout after 0.2s"
+    assert outcome.seconds < 3
+    assert "proof steps" not in outcome.stats
+
+
+def test_builtin_timeout_holds_during_the_proof_check(monkeypatch):
+    monkeypatch.delenv(SOLVER_ENV_VAR, raising=False)
+
+    def slow_check(num_vars, clauses, proof):
+        time.sleep(0.3)
+        return check_rup(num_vars, clauses, proof)
+
+    monkeypatch.setattr(cdcl, "check_rup", slow_check)
+    outcome = solve(parsed_formula(4, RUP_FORMULA), timeout=0.2)
+    assert outcome.status == UNKNOWN and "timeout" in outcome.detail
+    assert outcome.stats["proof check seconds"] >= 0.2
 
 
 def test_env_solver_must_exist(monkeypatch):
@@ -873,6 +929,33 @@ def test_cdcl_launcher_through_bridge():
     assert check_representation(outcome.coloring, ALGEBRA_ONE_BLUE).ok
     outcome = solve(all_edges_formula(7, ALGEBRA_ONE_BLUE), solver=str(CDCL_LAUNCHER))
     assert outcome.status == UNSAT
+
+
+def test_solver_stats_in_process_and_from_the_launcher(monkeypatch):
+    monkeypatch.delenv(SOLVER_ENV_VAR, raising=False)
+    f = all_edges_formula(7, ALGEBRA_ONE_BLUE)
+    inside = solve(f)
+    outside = solve(f, solver=str(CDCL_LAUNCHER))
+    assert inside.status == outside.status == UNSAT
+    assert set(inside.stats) == set(outside.stats) == {
+        "conflicts", "decisions", "propagations", "learned", "deleted", "restarts",
+        "solve seconds", "proof steps", "proof check seconds",
+    }
+    # the search is deterministic, so both routes count the same
+    for name in ("conflicts", "decisions", "propagations", "learned", "proof steps"):
+        assert inside.stats[name] == outside.stats[name] > 0
+    assert isinstance(outside.stats["proof check seconds"], float)
+
+
+def test_parse_solver_output_reads_only_numeric_counters():
+    stdout = (
+        "c conflicts: 12\nc proof check seconds: 0.031\n"
+        "c rate: 12 per second\nc proof check failed: refutation not accepted\n"
+        "c plain comment\ns UNSATISFIABLE\n"
+    )
+    status, literals, stats = _parse_solver_output(stdout, 20)
+    assert (status, literals) == (UNSAT, [])
+    assert stats == {"conflicts": 12, "proof check seconds": 0.031}
 
 
 def test_sat_modules_import_without_numpy():
