@@ -100,7 +100,8 @@ def _print_json(payload: dict) -> None:
 
 
 # Memory estimates, in int64 words per cube element: a layer partition holds
-# 5.25 (five transforms, two bool indicators), a running transform 3 more.
+# 5.25 (two transforms, three count rows, two bool indicators), a running
+# transform 3 more.
 # FIXED_BYTES covers what does not grow with m, such as sumset gather blocks
 # and the blocks of positions a climb's first tally is judged in.
 PARTITION_WORDS = 5.25
@@ -113,13 +114,13 @@ def _search_words(p: int, q: int, hill: bool) -> float:
     partition, a split's labels and masks (one word) and n(n+1)/2 count
     rows, n = p + q, plus n forward transforms and a running one while
     the rows are computed, or three bool vectors per row while they are
-    judged.  A climb holds beside its rows fifteen: a tally and the copy
-    its pool was built from (six), labels and members (one), and while it
-    builds its first pool up to three tally transforms, two reaches and a
-    running transform (eight)."""
+    judged.  A climb holds beside its rows sixteen: a tally and the copy
+    its pool was built from (six), labels and members (one), the layers'
+    elements (one), and while it builds its first pool up to three tally
+    transforms, two reaches and a running transform (eight)."""
     n = p + q
     rows = n * (n + 1) // 2
-    return PARTITION_WORDS + 1 + rows + max(n + TRANSFORM_WORDS, 3 * rows / 8, 15 if hill else 0)
+    return PARTITION_WORDS + 1 + rows + max(n + TRANSFORM_WORDS, 3 * rows / 8, 16 if hill else 0)
 
 
 def _check_memory(args: argparse.Namespace, m: int, words: float, what: str) -> None:

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
 from itertools import islice
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -45,7 +45,9 @@ from .algebra import (
     red,
 )
 
-CUBE_DIM_CAP = 24  # dense 2^m-bit masks; int64 transform stays exact below this
+# dense 2^m-bit masks; a pair count then takes m + 1 <= 25 bits, so at least
+# one count row fits beside the 2^m factor of an inverse transform in 64 bits
+CUBE_DIM_CAP = 24
 
 
 class ResourceLimitError(RuntimeError):
@@ -290,9 +292,11 @@ def pair_counts_naive(x: CubeSubset, y: CubeSubset) -> np.ndarray:
 
 
 def walsh_hadamard(vec: np.ndarray) -> np.ndarray:
-    """Walsh-Hadamard transform of an int64 vector, input left untouched.
+    """Walsh-Hadamard transform of an integer vector, input left untouched.
 
-    Unnormalized: applying it twice multiplies by the length.  Each stage
+    Unnormalized: applying it twice multiplies by the length.  Any integer
+    dtype works, and the result has the input's dtype; a uint64 vector
+    wraps mod 2^64, which `pair_count_rows` relies on.  Each stage
     is the constant-geometry butterfly (Pease, J. ACM 1968): sums of the
     even/odd neighbours fill the low half of the other buffer and their
     differences the high half.  That applies H_2 to the lowest index bit
@@ -312,21 +316,60 @@ def walsh_hadamard(vec: np.ndarray) -> np.ndarray:
     return x
 
 
+def pair_count_rows(products: Iterable[np.ndarray], rows: Sequence[np.ndarray], m: int) -> None:
+    """Write the exact pair counts of each forward-transform product into
+    its row of `rows`, several products per inverse transform.
+
+    A product is fa * fb, the transforms of two 0/1 vectors of length 2^m
+    multiplied pointwise (int64).  Its inverse transform is 2^m times the
+    pair counts of the two sets, each at most 2^m, so a count fits in
+    m + 1 bits and (64 - m) // (m + 1) products share one inverse
+    (Kronecker substitution): product i of a pack, viewed as uint64, is
+    shifted to bit i(m + 1) and added to the pack.  The butterfly is exact
+    mod 2^64, and the true result, 2^m times the sum of count_i *
+    2^(i(m + 1)), lies in [0, 2^64), so the packed result is exact.  Its
+    low m bits must then be zero, or RuntimeError is raised.  There is one
+    product per row; the products are scratch, shifted in place, and
+    `rows` are contiguous int64 vectors of length 2^m.
+    """
+    width = m + 1
+    per = (64 - m) // width
+    field = np.uint64((1 << width) - 1)
+    products = iter(products)
+    for start in range(0, len(rows), per):
+        pack = rows[start : start + per]
+        acc = next(products).view(np.uint64)  # the pack's first row sits at bit 0
+        for i in range(1, len(pack)):
+            word = next(products).view(np.uint64)
+            word <<= np.uint64(i * width)
+            acc += word
+            del word  # freed before the transform
+        packed = walsh_hadamard(acc)
+        del acc
+        if (packed & np.uint64((1 << m) - 1)).any():
+            raise RuntimeError("transform output not divisible by 2^m; overflow?")
+        packed >>= np.uint64(m)
+        for row in pack:
+            np.bitwise_and(packed, field, out=row.view(np.uint64))
+            packed >>= np.uint64(width)
+        del packed
+
+
 def pair_counts(x: CubeSubset, y: CubeSubset) -> np.ndarray:
     """Same counts as pair_counts_naive, via XOR convolution.
 
-    Transform both indicators, multiply pointwise, transform back, divide
-    by 2^m.  All arithmetic is int64 and exact: indicators are 0/1, so
-    transform entries are bounded by 2^m and every intermediate stays
-    within 2^(2m) <= 2^48 for m <= 24.
+    Transform both indicators, multiply pointwise, and transform back
+    through `pair_count_rows`, which divides by 2^m.  The product is exact
+    in int64, since transform entries of 0/1 vectors are bounded by 2^m
+    and m <= 24, and the inverse is exact mod 2^64 with a true result in
+    [0, 2^64).
     """
     x._require_same_dim(y)
     fx = walsh_hadamard(x.indicator())
     fy = walsh_hadamard(y.indicator())
-    prod = walsh_hadamard(fx * fy)
-    if (prod & ((1 << x.m) - 1)).any():
-        raise AssertionError("transform output not divisible by 2^m; overflow?")
-    return prod >> x.m
+    counts = np.empty(1 << x.m, dtype=np.int64)
+    pair_count_rows([fx * fy], [counts], x.m)
+    return counts
 
 
 def support(counts: np.ndarray, m: int) -> CubeSubset:
@@ -345,8 +388,8 @@ class LayerPartition:
 
     Built, it holds what every split of it starts from, read-only:
     `layers`, the bool indicators of R and B; `fwd`, their Walsh-Hadamard
-    transforms; and `rows`, the unscaled inverse transforms of the
-    products R*R, R*B and B*B, which are 2^m times the layer pair counts.
+    transforms; and `rows`, the exact pair counts of R*R, R*B and B*B,
+    which share inverse transforms (`pair_count_rows`; one at k <= 4).
     """
 
     k: int
@@ -361,8 +404,9 @@ class LayerPartition:
         fwd = [walsh_hadamard(vec) for vec in indicators]
         layers = [vec.astype(bool) for vec in indicators]
         del indicators  # int64, freed before the rows, whose build sets the peak
-        rows = [walsh_hadamard(fwd[i] * fwd[j]) for i, j in ((0, 0), (0, 1), (1, 1))]
-        for name, vecs in (("layers", layers), ("fwd", fwd), ("rows", rows)):
+        rows = np.empty((3, 1 << self.m), dtype=np.int64)
+        pair_count_rows((fwd[i] * fwd[j] for i, j in ((0, 0), (0, 1), (1, 1))), rows, self.m)
+        for name, vecs in (("layers", layers), ("fwd", fwd), ("rows", list(rows))):
             for vec in vecs:
                 vec.flags.writeable = False
             object.__setattr__(self, name, tuple(vecs))
@@ -382,7 +426,7 @@ def layer_partition(k: int) -> LayerPartition:
     R holds weights 1..2k and B weights 2k+1..3k+1.  Construction checks
     R+R = G, R+B = G minus 0, and B+B = R plus 0 (B is sum-free) on the
     supports of the partition's `rows`, and raises RuntimeError when one
-    fails or a row is not a multiple of 2^m.
+    fails (building the rows raises it when their transform is inexact).
     """
     if k < 1:
         raise ValueError("k >= 1 required")
@@ -398,8 +442,6 @@ def layer_partition(k: int) -> LayerPartition:
     identities = {"R+R = G": full, "R+B = G minus 0": full.without_zero(),
                   "B+B = R plus 0": r_part | singleton(m, 0)}
     for row, (identity, expected) in zip(part.rows, identities.items()):
-        if (row & ((1 << m) - 1)).any():
-            raise RuntimeError(f"{identity}: transform output not divisible by 2^m; overflow?")
         if support(row, m) != expected:
             raise RuntimeError(f"layer identity {identity} fails at k={k}")
     return part
@@ -426,8 +468,8 @@ def witness_minima(part: LayerPartition) -> dict[str, WitnessStat]:
     of ordered pairs (x, y) in L x Rt with x XOR y = z, with the smallest
     minimizing z.  A minimum of at least 2^k for every case is what makes
     an n-way random split of the layers succeed with positive probability
-    once 2^k outruns n^2.  The counts are the partition's `rows` scaled
-    down by 2^m, so the table takes no transform of its own.
+    once 2^k outruns n^2.  The counts are the partition's `rows`, so the
+    table takes no transform of its own.
     """
     layer = {"R": 0, "B": 1}
     out: dict[str, WitnessStat] = {}
@@ -435,7 +477,7 @@ def witness_minima(part: LayerPartition) -> dict[str, WitnessStat]:
         row = part.rows[layer[left] + layer[right]]
         targets = np.flatnonzero(part.layers[layer[target]])
         pos = int(np.argmin(row[targets]))
-        out[label] = WitnessStat(int(row[targets[pos]]) >> part.m, int(targets[pos]))
+        out[label] = WitnessStat(int(row[targets[pos]]), int(targets[pos]))
     return out
 
 

@@ -45,6 +45,7 @@ from .cube import (
     LayerPartition,
     embedded_split_1024,
     layer_partition,
+    pair_count_rows,
     pair_counts_naive,
     walsh_hadamard,
 )
@@ -283,15 +284,16 @@ def _counts(s: SplitState, spec: AlgebraSpec, naive: bool) -> np.ndarray:
     """The pair-count rows of a split, in the order of `_rule_table`.
 
     The transform route takes one forward transform per part but the last
-    of each layer, and one inverse per row but the rows whose colors are
-    both last parts.  Those follow from the `fwd` and `rows` of the
-    split's base: the parts of a layer sum to the layer, and the transform
-    is linear, so the last part's transform is the layer's minus the other
+    of each layer, and computes every row but those whose colors are both
+    last parts by `cube.pair_count_rows`, several rows per inverse
+    transform.  The rest follow from the `fwd` and `rows` of the split's
+    base: the parts of a layer sum to the layer, and the transform is
+    linear, so the last part's transform is the layer's minus the other
     parts'; the XOR convolution is bilinear, so a row of two last parts is
     its layer row minus the group's other rows, a mixed pair inside one
     layer taken twice (`_RuleTable.derive`).  Everything is int64 and
-    exact: each term is the transform of a 0/1 vector or 2^m times a pair
-    count.
+    exact: each term is the transform of a 0/1 vector or a pair count.
+    At k <= 4 a (1, 2) split takes one forward and one inverse transform.
     """
     if (spec.p, spec.q) != (s.p, s.q):
         raise ValueError("spec shape must match the split's (p, q)")
@@ -308,14 +310,13 @@ def _counts(s: SplitState, spec: AlgebraSpec, naive: bool) -> np.ndarray:
     for layer_hat, first, last in zip(s.base.fwd, (0, spec.p), lasts):
         fwd[last] = layer_hat - sum(fwd[first:last])
     derived = {last for last, _others in table.derive}
-    for u, (a, b) in enumerate(table.unordered):
-        if u not in derived:
-            counts[u] = walsh_hadamard(fwd[a] * fwd[b])
+    computed = [u for u in range(len(table.unordered)) if u not in derived]
+    products = (fwd[a] * fwd[b] for a, b in map(table.unordered.__getitem__, computed))
+    pair_count_rows(products, [counts[u] for u in computed], s.base.m)
     for (last, others), layer_row in zip(table.derive, s.base.rows):
         counts[last] = layer_row
         for u, times in others:
             counts[last] -= times * counts[u]
-    counts >>= s.base.m
     return counts
 
 
@@ -416,6 +417,7 @@ class _ClimbEngine:
         self.tally[:, self.labels < 0] = 0
         self.total = int(self.tally.sum())
         self.reach: dict[int, np.ndarray] = {}  # movable layer -> its reach, once computed
+        self.layer_elems = [np.flatnonzero(layer) for layer in self.base.layers]
         self.reached = np.empty_like(self.tally)  # the tally the reach is of
 
     def violation_count(self) -> int:
@@ -492,9 +494,9 @@ class _ClimbEngine:
         convolution of tally row A + L with layer L's indicator, summed
         over L = R and B.  The first call computes it with transforms,
         scaled down by 2^m to exact counts.  Each later call adds the change
-        of every tally entry since the call before over layer L translated
-        by the entry's position, so a pool costs a few whole-cube passes
-        plus one per changed entry.
+        of every tally entry since the call before at the elements of
+        layer L translated by the entry's position, so a pool costs a few
+        whole-cube passes plus one pass over a layer per changed entry.
         """
         movable = [at for at, parts in enumerate((self.p, self.q)) if parts > 1]
         if not self.reach:
@@ -511,8 +513,8 @@ class _ClimbEngine:
                 g, z = divmod(f, n)
                 for at in movable:
                     if 0 <= g - at <= 1:  # tally row g pairs layer `at` with layer g - at
-                        translate = self.base.layers[g - at][np.arange(n) ^ z]
-                        np.add(self.reach[at], delta, out=self.reach[at], where=translate)
+                        # distinct positions, so a fancy += adds delta once to each
+                        self.reach[at][self.layer_elems[g - at] ^ z] += delta
         np.copyto(self.reached, self.tally)
         broken = self.tally.any(axis=0)
         pool = np.zeros_like(broken)

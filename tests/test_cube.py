@@ -248,6 +248,41 @@ def test_exactness_at_transform_cap():
     assert int(counts.sum()) == len(xs) ** 2
 
 
+@pytest.mark.parametrize("m", range(1, 17))
+def test_pair_count_rows_at_the_field_maximum(m, monkeypatch):
+    # every count 2^m fills its m + 1 bit field; at m = 4 and m = 12 the top
+    # field of a whole pack then reaches bit 63
+    n = 1 << m
+    full = CubeSubset.full(m)
+    nonzero = full.without_zero()
+    assert np.array_equal(pair_counts(full, full), np.full(n, n))
+    expected = np.full(n, n - 2)
+    expected[0] = n - 1
+    assert np.array_equal(pair_counts(nonzero, nonzero), expected)
+    calls = []
+
+    def counted(vec):
+        calls.append(vec.dtype)
+        return walsh_hadamard(vec)
+
+    monkeypatch.setattr(cube, "walsh_hadamard", counted)
+    f, g = walsh_hadamard(full.indicator()), walsh_hadamard(nonzero.indicator())
+    per = (64 - m) // (m + 1)  # at least 2 for m <= 16
+    pairs = [(f, f)] * per + [(g, g), (f, g)]  # a pack of full fields, then a second pack
+    rows = np.empty((len(pairs), n), dtype=np.int64)
+    cube.pair_count_rows((a * b for a, b in pairs), rows, m)
+    assert calls == [np.uint64, np.uint64]
+    assert rows.tolist() == [[n] * n] * per + [expected.tolist(), [n - 1] * n]
+
+
+def test_pair_count_rows_raise_on_inexact_transform(monkeypatch):
+    # mirrors test_layer_partition_raises_on_failed_identity, one level down
+    monkeypatch.setattr(cube, "walsh_hadamard", lambda vec: walsh_hadamard(vec) + 1)
+    xs = CubeSubset.from_elements(5, [1, 2, 7])
+    with pytest.raises(RuntimeError, match="not divisible"):
+        pair_counts(xs, xs)
+
+
 # ---------------------------------------------------------------------------
 # layer partitions
 # ---------------------------------------------------------------------------
@@ -281,7 +316,7 @@ def test_partition_holds_layer_transforms(part2):
         for held, layer in zip(part.fwd, layers):
             assert np.array_equal(held, walsh_hadamard(layer.indicator()))
         for held, (i, j) in zip(part.rows, ((0, 0), (0, 1), (1, 1))):
-            assert np.array_equal(held, pair_counts(layers[i], layers[j]) << part.m)
+            assert np.array_equal(held, pair_counts_naive(layers[i], layers[j]))
         for vec in (*part.layers, *part.fwd, *part.rows):
             assert not vec.flags.writeable
     assert moved != part2

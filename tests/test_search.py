@@ -29,7 +29,7 @@ from redblue.search import (
     violations_naive,
 )
 from redblue.search import _counts, _entries, iter_trials
-from redblue import search
+from redblue import cube, search
 
 TWO_BLUE = AlgebraSpec(1, 2)
 ONE_BLUE = AlgebraSpec(1, 1)
@@ -171,6 +171,33 @@ def test_report_matches_reference(shape, k, seed, emptied, moved):
     assert not emptied or spec.color_at(p + q - 1) in expected[2]
     for report in (violations(state, spec), violations_naive(state, spec)):
         assert (report.unsatisfied, report.forbidden, report.empty_parts) == expected
+
+
+@pytest.mark.parametrize(
+    "k, p, q",
+    [(2, p, q) for p in range(1, 7) for q in range(1, 8 - p)] + [(3, 1, 2), (3, 2, 3), (3, 3, 4)],
+)
+def test_packed_counts_match_naive_route(k, p, q):
+    # at m = 7 seven rows share an inverse transform, at m = 10 four: the
+    # larger shapes take several packs and a partial last one
+    state = random_split(layer_partition(k), p, q, trial_seed(19, p * 8 + q))
+    spec = AlgebraSpec(p, q)
+    assert np.array_equal(_counts(state, spec, naive=False), _counts(state, spec, naive=True))
+
+
+def test_packed_counts_match_one_inverse_per_row_at_k5():
+    # m = 16 packs two rows per inverse transform; the reference takes one
+    # int64 inverse per row, as the transform route did before packing
+    spec = AlgebraSpec(1, 3)
+    state = random_split(layer_partition(5), 1, 3, 5)
+    m = state.base.m
+    fwd = [walsh_hadamard((state.labels == code).astype(np.int64)) for code in range(4)]
+    reference = []
+    for a, b in search._rule_table(spec).unordered:
+        row = walsh_hadamard(fwd[a] * fwd[b])
+        assert not (row & ((1 << m) - 1)).any()
+        reference.append(row >> m)
+    assert np.array_equal(_counts(state, spec, naive=False), np.stack(reference))
 
 
 @pytest.mark.parametrize("variant", ["drawn", "emptied-last", "emptied-other", "moved"])
@@ -467,10 +494,11 @@ def test_iter_trials_repairs_with_a_budget(part2, anneal):
 
 
 def test_trial_loop_transform_count(part2, monkeypatch):
-    """With the layers' transforms held by the partition, each (1, 2)
-    trial takes 4 transforms, and so do a lone report and a climb's setup:
-    one forward and three inverse, where the direct route takes 3 forward
-    and 6 inverse."""
+    """With the layers' transforms held by the partition and the count
+    rows packed into one inverse transform, each (1, 2) trial takes 2
+    transforms, and so do a lone report and a climb's setup: one forward
+    and one inverse, where the direct route takes 3 forward and 6 inverse.
+    Building a partition takes 3: two forward and one inverse."""
     calls = []
 
     def counted(vec):
@@ -478,16 +506,20 @@ def test_trial_loop_transform_count(part2, monkeypatch):
         return walsh_hadamard(vec)
 
     monkeypatch.setattr(search, "walsh_hadamard", counted)
+    monkeypatch.setattr(cube, "walsh_hadamard", counted)
     trials = 7
     monte_carlo(part2, 1, 2, trials, 3)
-    assert len(calls) == 4 * trials
+    assert len(calls) == 2 * trials
     calls.clear()
     state = random_split(part2, 1, 2, 7)
     violations(state, TWO_BLUE)
-    assert len(calls) == 4
+    assert len(calls) == 2
     calls.clear()
     _ClimbEngine(state, TWO_BLUE)
-    assert len(calls) == 4
+    assert len(calls) == 2
+    calls.clear()
+    layer_partition(2)
+    assert len(calls) == 3
 
 
 def test_monte_carlo_rejects_zero_trials(part1):
