@@ -624,6 +624,11 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
             f"{_now_iso()} V={v} variant={args.variant} solver={outcome.solver} "
             f"status={outcome.status} seconds={outcome.seconds:.2f}"
         )
+        for name in ("conflicts", "proof steps", "proof check seconds"):
+            value = outcome.stats.get(name)
+            if value is not None:
+                value = f"{value:.3f}" if isinstance(value, float) else value
+                record += f" {name.replace(' ', '_')}={value}"
         if outcome.detail:
             record += f" detail={outcome.detail}"
         with log_path.open("a") as fh:
@@ -653,6 +658,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
                         "status": o.status,
                         "seconds": round(o.seconds, 2),
                         "solver": o.solver,
+                        "stats": dict(o.stats),
                     }
                     for v, o in outcomes
                 ],

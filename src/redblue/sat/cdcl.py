@@ -7,12 +7,24 @@ SAT 2009); VSIDS branching; Luby restarts; phase saving; and deletion of
 the less active half of the learned clauses.  It needs only the standard
 library.
 
-Every learned clause and every deletion goes into `Cdcl.proof`.
+`Cdcl.proof` logs the refutation in the step format of
+`redblue.sat.proof`: `(ADD, lemma, hints)` for every learned clause and
+`(DELETE, clause)` for every deletion, with DIMACS literals.  Input clause
+i (from 0, in the order given) has clause ID i + 1, and the added lemmas
+are numbered after the input.  A lemma's hints are the IDs of the clauses
+conflict analysis resolved on, ordered so that each is unit in turn once
+the lemma is assumed false, the conflict last.  Every literal assigned at
+level 0 is logged as a unit lemma of its own, hinted by its reason, before
+any later lemma relies on it, so hint lists leave level-0 literals out; a
+conflict at level 0 logs the empty clause.
+
 `solve_checked` calls a formula unsatisfiable only after
-`redblue.sat.proof.check_rup`, which shares no propagation code with the
-solver, has accepted that log; a log it rejects leaves the formula
-undecided.  `main()` and the in-process route of `redblue.sat.solve.solve`
-both decide through it.
+`redblue.sat.proof.check_hints`, which shares no code with the solver, has
+followed those hints through the caller's clauses and accepted every
+lemma; a log it rejects leaves the formula undecided.  `main()` and the
+in-process route of `redblue.sat.solve.solve` both decide through it.
+`check_rup`, the forward RUP replay that needs no hints, is kept in
+`redblue.sat.proof` as the reference the tests hold every solver proof to.
 
 Command line: `python -m redblue.sat.cdcl FILE.cnf`, the `bin/redblue-cdcl`
 launcher, or the `redblue-cdcl` console script.  Output follows the SAT
@@ -32,7 +44,7 @@ from heapq import heapify, heappop, heappush
 from typing import NamedTuple
 
 from .dimacs import parse_dimacs
-from .proof import ADD, DELETE, ProofStep, check_rup
+from .proof import ADD, DELETE, ProofStep, check_hints
 
 RESTART_BASE = 100  # conflicts per unit of the Luby sequence
 VAR_DECAY = 0.95
@@ -72,10 +84,12 @@ class Cdcl:
     (negative), so `lit ^ 1` negates.  `value[lit]` is 1, -1 or 0 for true,
     false or unassigned.  A clause of three or more literals sits in the
     watch lists of its first two; the literal a clause implied is kept at
-    its position 0.
+    its position 0.  `cid` maps the `id()` of each attached clause to its
+    clause ID; an input clause keeps its ID after level-0 literals are
+    dropped from it, because those are logged as unit lemmas first.
     """
 
-    def __init__(self, num_vars: int, clauses: Iterable[Sequence[int]]) -> None:
+    def __init__(self, num_vars: int, clauses: Sequence[Sequence[int]]) -> None:
         n = num_vars
         self.num_vars = n
         self.value = [0] * (2 * n + 2)
@@ -95,25 +109,25 @@ class Cdcl:
         self.clause_activity: dict[int, float] = {}
         self.clause_inc = 1.0
         self.proof: list[ProofStep] = []
+        self.cid: dict[int, int] = {}  # id() of an attached clause -> its clause ID
+        self.next_cid = len(clauses) + 1  # of the next lemma; input clauses come first
         self.stats = dict.fromkeys(
             ("conflicts", "decisions", "propagations", "learned", "deleted", "restarts"), 0
         )
         self.ok = True
-        num_input = 0
-        for clause in clauses:
-            num_input += 1
-            if self.ok and not self._add_input(clause):
+        for cid, clause in enumerate(clauses, 1):
+            if self.ok and not self._add_input(clause, cid):
                 self.ok = False
-        if self.ok and self._propagate() is not None:
+        if self.ok and not self._propagate_top():
             self.ok = False
-        self.max_learnts = max(num_input * LEARNT_FRACTION, LEARNT_MIN)
+        self.max_learnts = max(len(clauses) * LEARNT_FRACTION, LEARNT_MIN)
         self.adjust_size = float(ADJUST_FIRST)
         self.adjust_left = ADJUST_FIRST
 
     # -- clause database ----------------------------------------------------
 
-    def _add_input(self, clause: Sequence[int]) -> bool:
-        """Attach one input clause at level 0; False if it is already falsified."""
+    def _add_input(self, clause: Sequence[int], cid: int) -> bool:
+        """Attach one input clause at level 0; False once the formula is refuted."""
         n = self.num_vars
         lits = []
         for d in clause:
@@ -126,12 +140,37 @@ class Cdcl:
         if any(lit ^ 1 in present or value[lit] == 1 for lit in lits):
             return True  # tautology, or satisfied at level 0
         lits = [lit for lit in lits if value[lit] == 0]
-        if not lits:
-            return False
-        if len(lits) == 1:
+        if len(lits) <= 1:
+            self._log(_dimacs(lits), (cid,))
+            if not lits:
+                return False
             self._assign(lits[0], None)
-            return self._propagate() is None
+            return self._propagate_top()
+        self.cid[id(lits)] = cid
         self._attach(lits)
+        return True
+
+    def _log(self, lemma: tuple[int, ...], hints: Sequence[int]) -> int:
+        """Append a lemma with its hints to the proof; its clause ID."""
+        self.proof.append((ADD, lemma, tuple(hints)))
+        self.next_cid += 1
+        return self.next_cid - 1
+
+    def _propagate_top(self) -> bool:
+        """Propagate at level 0, logging each new literal as a unit lemma.
+
+        A conflict logs the empty clause and returns False.  Every level-0
+        literal with a reason is assigned here; the others, units of the
+        input or learned, are logged where they are assigned.
+        """
+        start = len(self.trail)
+        conflict = self._propagate()
+        cid, reason = self.cid, self.reason
+        for lit in self.trail[start:]:
+            self._log(_dimacs((lit,)), (cid[id(reason[lit >> 1])],))
+        if conflict is not None:
+            self._log((), (cid[id(conflict)],))
+            return False
         return True
 
     def _attach(self, c: list[int]) -> None:
@@ -163,6 +202,7 @@ class Cdcl:
         for c in learnts:
             if id(c) in dead:
                 del act[id(c)]
+                del self.cid[id(c)]
         watches = self.watches
         for lit in touched:
             watches[lit] = [c for c in watches[lit] if id(c) not in dead]
@@ -267,13 +307,20 @@ class Cdcl:
 
     # -- conflict analysis --------------------------------------------------
 
-    def _analyze(self, conflict: list[int]) -> tuple[list[int], int]:
-        """First-UIP clause, minimized, and the level to backjump to."""
+    def _analyze(self, conflict: list[int]) -> tuple[list[int], list[int], int]:
+        """First-UIP clause, minimized, its hints, and the level to backjump to.
+
+        The hints are the IDs of the clauses resolved on, in an order that
+        makes each unit in turn once the clause is assumed false: the
+        reasons of the literals minimization removed (`_removal_chain`), the
+        current level's reasons in trail order, and the conflict last.
+        """
         seen, level, reason, trail = self.seen, self.level, self.reason, self.trail
         activity, var_inc = self.activity, self.var_inc
-        clause_act = self.clause_activity
+        clause_act, cid = self.clause_activity, self.cid
         current = len(self.trail_lim)
         learnt = [0]
+        resolved = []  # clause IDs, the conflict first, then up the trail
         pending = 0
         p = -1
         index = len(trail) - 1
@@ -281,6 +328,7 @@ class Cdcl:
         c = conflict
         while True:
             key = id(c)
+            resolved.append(cid[key])
             if key in clause_act:
                 clause_act[key] += self.clause_inc
                 if clause_act[key] > 1e20:
@@ -320,8 +368,11 @@ class Cdcl:
         for q in learnt[1:]:
             if reason[q >> 1] is None or not self._redundant(q, abstract, to_clear):
                 kept.append(q)
+        hints = self._removal_chain(learnt, kept) if len(kept) < len(learnt) else []
         for q in to_clear:
             seen[q >> 1] = 0
+        resolved.reverse()
+        hints += resolved
 
         backjump = 0
         if len(kept) > 1:
@@ -333,7 +384,33 @@ class Cdcl:
                 activity[v] *= 1e-100
             self.var_inc *= 1e-100
             self._rebuild_heap()
-        return kept, backjump
+        return kept, hints, backjump
+
+    def _removal_chain(self, learnt: list[int], kept: list[int]) -> list[int]:
+        """IDs of the reasons that imply the literals minimization removed.
+
+        A depth-first walk from each removed literal through the reasons
+        `_redundant` followed, stopping at kept and level-0 literals, lists
+        each reason after the reasons of its own literals (post-order).
+        `seen` marks a literal whose reason is still to list; on return it
+        is clear for every literal the walk reached.
+        """
+        seen, reason, cid = self.seen, self.reason, self.cid
+        for q in kept[1:]:
+            seen[q >> 1] = 0
+        chain = []
+        stack = [q >> 1 for q in learnt[1:] if seen[q >> 1]]
+        while stack:
+            var = stack[-1]
+            if seen[var] == 1:
+                seen[var] = 2  # expanded: its reason is listed when it is popped
+                stack.extend(q >> 1 for q in reason[var] if seen[q >> 1] == 1)
+            else:
+                stack.pop()
+                if seen[var] == 2:
+                    seen[var] = 0
+                    chain.append(cid[id(reason[var])])
+        return chain
 
     def _redundant(self, lit: int, abstract: int, to_clear: list[int]) -> bool:
         """True if the reasons of `lit` reach only literals already in the clause."""
@@ -366,7 +443,6 @@ class Cdcl:
         `time.perf_counter()` reading.
         """
         if not self.ok:
-            self.proof.append((ADD, ()))
             return False
         while True:
             verdict = self._search(luby(self.stats["restarts"]) * RESTART_BASE, deadline)
@@ -381,18 +457,21 @@ class Cdcl:
         stats = self.stats
         conflicts = 0
         while True:
-            conflict = self._propagate()
+            if self.trail_lim:
+                conflict = self._propagate()
+            elif not self._propagate_top():
+                stats["conflicts"] += 1
+                return False
+            else:
+                conflict = None
             if conflict is not None:
                 stats["conflicts"] += 1
                 conflicts += 1
-                if not self.trail_lim:
-                    self.proof.append((ADD, ()))
-                    return False
                 if time.perf_counter() > deadline:
                     raise TimeoutError
-                learnt, backjump = self._analyze(conflict)
+                learnt, hints, backjump = self._analyze(conflict)
                 self._cancel_until(backjump)
-                self._learn(learnt)
+                self._learn(learnt, hints)
                 self.var_inc /= VAR_DECAY
                 self.clause_inc /= CLAUSE_DECAY
                 self.adjust_left -= 1
@@ -413,12 +492,13 @@ class Cdcl:
             self.trail_lim.append(len(self.trail))
             self._assign(2 * var + self.polarity[var], None)
 
-    def _learn(self, learnt: list[int]) -> None:
-        self.proof.append((ADD, _dimacs(learnt)))
+    def _learn(self, learnt: list[int], hints: list[int]) -> None:
+        cid = self._log(_dimacs(learnt), hints)
         self.stats["learned"] += 1
         if len(learnt) == 1:
             self._assign(learnt[0], None)
             return
+        self.cid[id(learnt)] = cid
         self._attach(learnt)
         if len(learnt) > 2:
             self.learnts.append(learnt)
@@ -441,7 +521,8 @@ class Checked(NamedTuple):
     `satisfiable` is True with a total `model`, False once the refutation
     has been checked, or None with the reason in `detail`.  `stats` holds
     `Cdcl.stats`, "solve seconds" and, when a refutation was checked,
-    "proof steps" and "proof check seconds".
+    "proof steps", "proof hints" (the number of hint IDs its lemmas carry)
+    and "proof check seconds".
     """
 
     satisfiable: bool | None
@@ -455,9 +536,10 @@ def solve_checked(
 ) -> Checked:
     """Solve with `Cdcl`, then check a refutation before calling it UNSAT.
 
-    The module global `check_rup` replays `Cdcl.proof` against `clauses`;
-    a proof it rejects leaves the formula undecided.  Past `timeout`
-    seconds, in the search or in the check, the formula is undecided too.
+    The module global `check_hints` follows the hints of `Cdcl.proof`
+    through `clauses`; a proof it rejects leaves the formula undecided.
+    Past `timeout` seconds, in the search or in the check, the formula is
+    undecided too.
     """
     start = time.perf_counter()
     deadline = math.inf if timeout is None else start + timeout
@@ -473,11 +555,13 @@ def solve_checked(
         return Checked(None, None, stats, f"timeout after {timeout:g}s")
     start = time.perf_counter()
     try:
-        accepted = check_rup(num_vars, clauses, _steps_until(deadline, solver.proof))
+        accepted = check_hints(num_vars, clauses, _steps_until(deadline, solver.proof))
     except TimeoutError:
         accepted = None
+    check_seconds = time.perf_counter() - start
     stats["proof steps"] = len(solver.proof)
-    stats["proof check seconds"] = time.perf_counter() - start
+    stats["proof hints"] = sum(len(step[2]) for step in solver.proof if step[0] == ADD)
+    stats["proof check seconds"] = check_seconds
     if accepted is None:
         return Checked(None, None, stats, f"timeout after {timeout:g}s")
     if not accepted:
@@ -497,7 +581,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     """Solve one DIMACS file and print the verdict in SAT-competition form."""
     parser = argparse.ArgumentParser(
         prog="redblue-cdcl",
-        description="CDCL SAT solver; UNSAT verdicts are RUP-checked before they are printed",
+        description="CDCL SAT solver; UNSAT verdicts are proof-checked before they are printed",
     )
     parser.add_argument("cnf", help="DIMACS CNF file")
     args = parser.parse_args(argv)

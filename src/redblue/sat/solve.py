@@ -2,8 +2,12 @@
 
 With no solver configured, `solve` runs `redblue.sat.cdcl` in this
 process through `cdcl.solve_checked`: an UNSAT verdict stands only once
-the independent RUP checker in `redblue.sat.proof` has accepted the
-solver's learned-clause log, and a log it rejects gives UNKNOWN.
+`redblue.sat.proof.check_hints` has accepted the solver's learned-clause
+log.  Each lemma in that log names the clauses (input clause i has ID
+i + 1, lemmas follow) that derive it by unit propagation, and the checker
+walks exactly those, reading nothing else of the formula; a log it rejects
+gives UNKNOWN.  The forward RUP replay `check_rup` is kept as the tests'
+reference and for logs without hints.
 
 The external bridge runs `<solver> <file.cnf>` and reads SAT-competition
 output (`s SATISFIABLE` / `s UNSATISFIABLE`, `v` literal lines; exit codes
@@ -57,7 +61,7 @@ class SolveOutcome:
     solver: str
     seconds: float
     detail: str = ""
-    # solver counters: conflicts, decisions, ..., "proof check seconds"
+    # solver counters: conflicts, decisions, ..., "proof hints", "proof check seconds"
     stats: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -138,7 +142,7 @@ def solve(
 
     Resolution order: explicit `solver` path, then the REDBLUE_SOLVER
     environment variable, then the in-repo CDCL in this process, whose
-    UNSAT verdict stands only with a proof that `check_rup` accepted.
+    UNSAT verdict stands only with a proof that `check_hints` accepted.
     `timeout` bounds either route.  Crashes, timeouts and rejected proofs
     surface as UNKNOWN with the diagnostic in `detail`; a model that fails
     re-verification (or decodes to an invalid representation when the

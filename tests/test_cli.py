@@ -382,7 +382,7 @@ def test_solve_builtin_round_trip(capsys, tmp_path, monkeypatch):
     code, payload = run_json(capsys, "solve", "--cnf", str(path))
     assert code == 0 and payload["status"] == "UNSAT"
     assert payload["solver"] == "builtin-cdcl"
-    assert payload["stats"]["proof steps"] >= 1
+    assert payload["stats"]["proof steps"] >= 1 and payload["stats"]["proof hints"] >= 1
     assert run(capsys, "solve", "--cnf", str(path), "--expect", "unsat")[0] == 0
     assert run(capsys, "solve", "--cnf", str(path), "--expect", "sat")[0] == 1
 
@@ -456,6 +456,19 @@ def test_pipeline_builtin_refutes_basic_ten(capsys, tmp_path, monkeypatch):
     assert code == 0
     summary = (tmp_path / "summary.csv").read_text()
     assert summary == "points,variant,status\n10,basic,UNSAT\n"
+    record = (tmp_path / "lb-V10-basic.log").read_text()
+    assert "status=UNSAT" in record and "conflicts=0 proof_steps=" in record
+    assert "proof_check_seconds=" in record
+
+    # the JSON results carry the solver counters; the CSV stays the same bytes
+    code, payload = run_json(
+        capsys, "pipeline", "--from", "10", "--to", "10", "--out-dir", str(tmp_path)
+    )
+    assert code == 0
+    [result] = payload["results"]
+    assert result["status"] == "UNSAT" and result["stats"]["conflicts"] == 0
+    assert result["stats"]["proof steps"] >= 1 and "proof check seconds" in result["stats"]
+    assert (tmp_path / "summary.csv").read_text() == summary
 
 
 def test_pipeline_artifacts(capsys, tmp_path, solver):

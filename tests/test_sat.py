@@ -30,7 +30,7 @@ from redblue.sat.encode import (
     free_edge_clauses,
     need_clauses,
 )
-from redblue.sat.proof import check_rup
+from redblue.sat.proof import check_hints, check_rup
 from redblue.sat.solve import (
     SAT,
     SOLVER_ENV_VAR,
@@ -604,25 +604,30 @@ def test_builtin_refutes_basic_ten_points(monkeypatch):
 
 
 def test_builtin_refutes_basic_ladder_with_checked_proofs(monkeypatch):
+    # each proof is accepted by the hint checker and by the reference RUP replay
     monkeypatch.delenv(SOLVER_ENV_VAR, raising=False)
     checked = []
-    real_check = cdcl.check_rup
+    real_check = cdcl.check_hints
 
     def spy(num_vars, clauses, proof):
-        checked.append(real_check(num_vars, clauses, proof))
-        return checked[-1]
+        steps = list(proof)
+        checked.append((real_check(num_vars, clauses, steps), check_rup(num_vars, clauses, steps)))
+        return checked[-1][0]
 
-    monkeypatch.setattr(cdcl, "check_rup", spy)
-    for v in range(10, 15):
-        outcome = solve(build_formula(v, "basic"))
+    monkeypatch.setattr(cdcl, "check_hints", spy)
+    formulas = [build_formula(v, "basic") for v in range(10, 15)]
+    formulas.append(all_edges_formula(6, ALGEBRA_TWO_BLUE))
+    for f in formulas:
+        outcome = solve(f)
         assert outcome.status == UNSAT and outcome.solver == "builtin-cdcl"
         assert outcome.stats["proof steps"] >= 1
-    assert checked == [True] * 5
+        assert outcome.stats["proof hints"] >= outcome.stats["conflicts"]
+    assert checked == [(True, True)] * 6
 
 
 def test_builtin_rejected_proof_is_unknown(monkeypatch):
     monkeypatch.delenv(SOLVER_ENV_VAR, raising=False)
-    monkeypatch.setattr(cdcl, "check_rup", lambda n, clauses, proof: check_rup(n, clauses, []))
+    monkeypatch.setattr(cdcl, "check_hints", lambda n, clauses, proof: check_hints(n, clauses, []))
     outcome = solve(parsed_formula(4, RUP_FORMULA))
     assert outcome.status == UNKNOWN
     assert "proof check failed" in outcome.detail
@@ -658,9 +663,9 @@ def test_builtin_timeout_holds_during_the_proof_check(monkeypatch):
 
     def slow_check(num_vars, clauses, proof):
         time.sleep(0.3)
-        return check_rup(num_vars, clauses, proof)
+        return check_hints(num_vars, clauses, proof)
 
-    monkeypatch.setattr(cdcl, "check_rup", slow_check)
+    monkeypatch.setattr(cdcl, "check_hints", slow_check)
     outcome = solve(parsed_formula(4, RUP_FORMULA), timeout=0.2)
     assert outcome.status == UNKNOWN and "timeout" in outcome.detail
     assert outcome.stats["proof check seconds"] >= 0.2
@@ -820,7 +825,7 @@ def write_cnf(path, num_vars, clauses):
 
 
 def assert_cdcl_verdict(num_vars, clauses):
-    """Solve with Cdcl; check the model, or the refutation with check_rup."""
+    """Solve with Cdcl; check the model, or the refutation with both checkers."""
     solver = Cdcl(num_vars, clauses)
     sat = solver.solve()
     if sat:
@@ -828,6 +833,7 @@ def assert_cdcl_verdict(num_vars, clauses):
         for cl in clauses:
             assert any(model[abs(l)] == (l > 0) for l in cl)
     else:
+        assert check_hints(num_vars, clauses, solver.proof)
         assert check_rup(num_vars, clauses, solver.proof)
     return sat
 
@@ -857,7 +863,8 @@ def test_cdcl_refutation_with_deletions_checks():
     solver.max_learnts = 20
     assert not solver.solve()
     assert solver.stats["deleted"] > 0
-    assert any(op == "d" for op, _ in solver.proof)
+    assert any(step[0] == "d" for step in solver.proof)
+    assert check_hints(f.num_vars, clauses, solver.proof)
     assert check_rup(f.num_vars, clauses, solver.proof)
 
 
@@ -884,6 +891,75 @@ def test_check_rup_rejects_tampered_refutation(proof):
     assert not check_rup(4, RUP_FORMULA, proof)
 
 
+# Clause IDs 1..5.  (1) is a unit lemma citing input 1, (2) one citing
+# input 2, which needs (1) at top level, and the empty clause walks 3, 4, 5,
+# each unit only after the one before it.
+CHAIN_FORMULA = [(1,), (-1, 2), (-2, 3), (-3, 4), (-4,)]
+CHAIN_PROOF = [("a", (1,), (1,)), ("a", (2,), (2,)), ("a", (), (3, 4, 5))]
+HINT_PROOF = [("a", (1,), (1, 2)), ("a", (3,), (3, 4)), ("a", (), (5, 6))]
+
+
+def test_check_hints_accepts_refutations():
+    assert check_hints(4, RUP_FORMULA, HINT_PROOF)
+    assert check_hints(4, CHAIN_FORMULA, CHAIN_PROOF)
+    # deletions are not read; steps after the empty clause are not either
+    assert check_hints(4, CHAIN_FORMULA, [("d", (-1, 2))] + CHAIN_PROOF + [("x", ())])
+    # a repeated literal, and a tautology no hint cites
+    assert check_hints(4, [(1, 1)] + CHAIN_FORMULA[1:], CHAIN_PROOF)
+    assert check_hints(4, CHAIN_FORMULA + [(2, -2, 3)], CHAIN_PROOF)
+    # the reference checker reads the same steps and ignores their hints
+    assert check_rup(4, RUP_FORMULA, HINT_PROOF)
+    assert check_rup(4, CHAIN_FORMULA, CHAIN_PROOF)
+
+
+@pytest.mark.parametrize(
+    "proof",
+    [
+        CHAIN_PROOF[:2] + [("a", (), (3, 5))],
+        CHAIN_PROOF[:2] + [("a", (), (4, 3, 5))],
+        CHAIN_PROOF[:2] + [("a", (), (3, 4, 5, 2))],
+        [CHAIN_PROOF[0], ("a", (2,), (1, 2))] + CHAIN_PROOF[2:],
+        [CHAIN_PROOF[0], ("a", (2,), (8,))] + CHAIN_PROOF[2:],
+        CHAIN_PROOF[:2] + [("a", (), (0, 3, 4, 5))],
+        CHAIN_PROOF[:2] + [("a", (), (3, 4, 9))],
+        [CHAIN_PROOF[0], ("a", (-2,), (2,))] + CHAIN_PROOF[2:],
+        CHAIN_PROOF[1:],
+        CHAIN_PROOF[:2] + [("a", (), ())],
+        CHAIN_PROOF[:2],
+        [("a", (1,))] + CHAIN_PROOF[1:],
+        [("a", (5,), (1,))] + CHAIN_PROOF[1:],
+    ],
+    ids=["hint-dropped", "hints-swapped", "hint-after-conflict", "satisfied-hint",
+         "later-lemma", "id-zero", "past-the-end", "literal-flipped",
+         "unit-lemma-missing", "empty-clause-unhinted", "no-empty-clause",
+         "lemma-unhinted", "unknown-variable"],
+)
+def test_check_hints_rejects_tampered_refutation(proof):
+    assert not check_hints(4, CHAIN_FORMULA, proof)
+
+
+def test_check_hints_rejects_a_solver_proof_missing_any_hint():
+    f = all_edges_formula(6, ALGEBRA_TWO_BLUE)
+    clauses = list(f.clauses())
+    solver = Cdcl(f.num_vars, clauses)
+    assert not solver.solve()
+    proof = solver.proof
+    hinted = [i for i, step in enumerate(proof) if step[0] == "a" and len(step[2]) > 2]
+    assert len(hinted) >= 10
+    for i in hinted[:: len(hinted) // 10]:
+        op, lemma, hints = proof[i]
+        for j in (0, len(hints) // 2, len(hints) - 1):
+            tampered = (op, lemma, hints[:j] + hints[j + 1 :])
+            assert not check_hints(f.num_vars, clauses, proof[:i] + [tampered] + proof[i + 1 :])
+
+
+def test_check_hints_reads_only_hinted_input_clauses():
+    # an out-of-range literal is an error only in a clause a hint names
+    assert check_hints(4, CHAIN_FORMULA + [(7,)], CHAIN_PROOF)
+    with pytest.raises(ValueError):
+        check_hints(4, [(1, 7)] + CHAIN_FORMULA[1:], CHAIN_PROOF)
+
+
 def test_cdcl_main_verdicts(tmp_path, capsys):
     assert cdcl.main([write_cnf(tmp_path / "unsat.cnf", 4, RUP_FORMULA)]) == 20
     out = capsys.readouterr().out
@@ -903,7 +979,7 @@ def test_cdcl_main_verdicts(tmp_path, capsys):
 def test_cdcl_rejected_proof_is_unknown(tmp_path, capsys, monkeypatch):
     # the checker is handed the log with every lemma dropped, which it rejects
     cnf = write_cnf(tmp_path / "unsat.cnf", 4, RUP_FORMULA)
-    monkeypatch.setattr(cdcl, "check_rup", lambda n, clauses, proof: check_rup(n, clauses, []))
+    monkeypatch.setattr(cdcl, "check_hints", lambda n, clauses, proof: check_hints(n, clauses, []))
     assert cdcl.main([cnf]) == 0
     out = capsys.readouterr().out
     assert "s UNKNOWN" in out and "UNSATISFIABLE" not in out
@@ -915,7 +991,7 @@ def test_cdcl_rejected_proof_is_unknown(tmp_path, capsys, monkeypatch):
         "import sys\n"
         f"sys.path.insert(0, {str(src)!r})\n"
         "from redblue.sat import cdcl, proof\n"
-        "cdcl.check_rup = lambda n, clauses, steps: proof.check_rup(n, clauses, [])\n"
+        "cdcl.check_hints = lambda n, clauses, steps: proof.check_hints(n, clauses, [])\n"
         "sys.exit(cdcl.main())\n"
     )
     launcher.chmod(0o755)
@@ -939,23 +1015,24 @@ def test_solver_stats_in_process_and_from_the_launcher(monkeypatch):
     assert inside.status == outside.status == UNSAT
     assert set(inside.stats) == set(outside.stats) == {
         "conflicts", "decisions", "propagations", "learned", "deleted", "restarts",
-        "solve seconds", "proof steps", "proof check seconds",
+        "solve seconds", "proof steps", "proof hints", "proof check seconds",
     }
     # the search is deterministic, so both routes count the same
-    for name in ("conflicts", "decisions", "propagations", "learned", "proof steps"):
+    for name in ("conflicts", "decisions", "propagations", "learned", "proof steps",
+                 "proof hints"):
         assert inside.stats[name] == outside.stats[name] > 0
     assert isinstance(outside.stats["proof check seconds"], float)
 
 
 def test_parse_solver_output_reads_only_numeric_counters():
     stdout = (
-        "c conflicts: 12\nc proof check seconds: 0.031\n"
+        "c conflicts: 12\nc proof hints: 40\nc proof check seconds: 0.031\n"
         "c rate: 12 per second\nc proof check failed: refutation not accepted\n"
         "c plain comment\ns UNSATISFIABLE\n"
     )
     status, literals, stats = _parse_solver_output(stdout, 20)
     assert (status, literals) == (UNSAT, [])
-    assert stats == {"conflicts": 12, "proof check seconds": 0.031}
+    assert stats == {"conflicts": 12, "proof hints": 40, "proof check seconds": 0.031}
 
 
 def test_sat_modules_import_without_numpy():
