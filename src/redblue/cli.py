@@ -109,18 +109,18 @@ TRANSFORM_WORDS = 3
 FIXED_BYTES = 2**20
 
 
-def _search_words(p: int, q: int, hill: bool) -> float:
+def _search_words(p: int, q: int) -> float:
     """Peak words per cube element of a split search: beside the
     partition, a split's labels and masks (one word) and n(n+1)/2 count
     rows, n = p + q, plus n forward transforms and a running one while
     the rows are computed, or three bool vectors per row while they are
-    judged.  A climb holds beside its rows sixteen: a tally and the copy
-    its pool was built from (six), labels and members (one), the layers'
-    elements (one), and while it builds its first pool up to three tally
-    transforms, two reaches and a running transform (eight)."""
+    judged.  A climb holds beside its rows a tally (three), one reach per
+    movable layer (at most n - 1, at most two), labels and members (one)
+    and the layers' elements (one): at most n + 3, which the transform
+    term covers."""
     n = p + q
     rows = n * (n + 1) // 2
-    return PARTITION_WORDS + 1 + rows + max(n + TRANSFORM_WORDS, 3 * rows / 8, 16 if hill else 0)
+    return PARTITION_WORDS + 1 + rows + max(n + TRANSFORM_WORDS, 3 * rows / 8)
 
 
 def _check_memory(args: argparse.Namespace, m: int, words: float, what: str) -> None:
@@ -378,7 +378,7 @@ def cmd_search(args: argparse.Namespace) -> int:
             "pass --extended to confirm"
         )
     m = 3 * args.k + 1
-    _check_memory(args, m, _search_words(args.p, args.q, args.hill), f"split search at m={m}")
+    _check_memory(args, m, _search_words(args.p, args.q), f"split search at m={m}")
     part = layer_partition(args.k)
     saved = []
 

@@ -124,12 +124,9 @@ def _parse_solver_output(
 
 def _verify_model(clauses: list[Clause], assignment: dict[int, bool]) -> None:
     """Hard-fail unless every clause has a literal assigned true."""
+    true = {v if value else -v for v, value in assignment.items()}
     for clause in clauses:
-        if not any(
-            assignment.get(abs(lit)) == (lit > 0)
-            for lit in clause
-            if abs(lit) in assignment
-        ):
+        if true.isdisjoint(clause):
             raise RuntimeError(f"claimed model leaves clause {clause} unsatisfied")
 
 

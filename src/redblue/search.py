@@ -17,8 +17,9 @@ part of each layer, and the count rows of two last parts, by subtraction
 from the layers' transforms, which the split's base computed once when it
 was built (`cube.LayerPartition`).  The climber works on color codes; it
 scores each proposed move by one scan of its kept counts, makes an
-accepted move by writing what that scan found, and keeps the pool of
-elements to move up to date from the tally entries that changed.
+accepted move by writing what that scan found, and adds each tally
+entry it writes to the reaches the pool of elements to move is read
+from, so the climb takes no transform beyond its set-up's counts.
 """
 
 from __future__ import annotations
@@ -392,10 +393,10 @@ class _ClimbEngine:
     makes that one scan against the kept counts and writes nothing, so a
     rejected move costs no update; `apply` writes what it found.
     `violation_count` is the running total plus one per empty part.
-    `move_pool` keeps each movable layer's reach, the XOR convolution of
-    the tallies with the layer indicators: the first call takes a few
-    transforms (the layers' own are the `fwd` of the base), and each later
-    call adds the layer translates of the tally entries that changed since.
+    Each movable layer's reach, the XOR convolution of the tallies with the
+    layer indicators that `move_pool` reads, is kept by one rule: every
+    tally change is added at its layer's translates (`_add_reach`), and
+    the starting tally counts as a change from zero.
     """
 
     def __init__(self, state: SplitState, spec: AlgebraSpec):
@@ -416,9 +417,12 @@ class _ClimbEngine:
             self.tally[:, at] = table.weights @ _broken(table, self.counts, self.labels, at)
         self.tally[:, self.labels < 0] = 0
         self.total = int(self.tally.sum())
-        self.reach: dict[int, np.ndarray] = {}  # movable layer -> its reach, once computed
         self.layer_elems = [np.flatnonzero(layer) for layer in self.base.layers]
-        self.reached = np.empty_like(self.tally)  # the tally the reach is of
+        self.movable = [at for at, parts in enumerate((self.p, self.q)) if parts > 1]
+        self.reach = {at: np.zeros(n, dtype=np.int64) for at in self.movable}
+        for g, row in enumerate(self.tally):
+            at = np.flatnonzero(row)
+            self._add_reach(g, at, row[at])
 
     def violation_count(self) -> int:
         return self.total + sum(xs.size == 0 for xs in self.members)
@@ -478,12 +482,28 @@ class _ClimbEngine:
         self.counts[row[b, b], 0] += 1
         for g, at, delta in move.crossed:
             self.tally[g, at] += delta
+            self._add_reach(g, at, delta)
+        for g in range(3):
+            self._add_reach(g, [e], [move.own[g] - self.tally[g, e]])
         self.tally[:, e] = move.own
         self.total = move.total
         self.labels[e] = b
         xs = self.members[a]
         self.members[a] = xs[xs != e]
         self.members[b] = np.append(self.members[b], e)
+
+    def _add_reach(self, g: int, at: Iterable[int], deltas: Iterable[int]) -> None:
+        """Add the changes `deltas` of tally row g at positions `at` to the
+        reaches.  Row g pairs layer A with layer g - A, so an entry at z
+        reaches x in A when x XOR z lies in layer g - A: the change is added
+        at the elements of that layer translated by z."""
+        for a in self.movable:
+            if 0 <= g - a <= 1:
+                elems = self.layer_elems[g - a]
+                for z, delta in zip(at, deltas):
+                    if delta:
+                        # distinct positions, so a fancy += adds delta once to each
+                        self.reach[a][elems ^ z] += delta
 
     def move_pool(self) -> np.ndarray:
         """Elements implicated in some violation and free to change part.
@@ -492,33 +512,11 @@ class _ClimbEngine:
         pair of colors is broken at z and x, x XOR z lie in the layers of
         those colors.  For x in layer A that is a nonzero reach: the XOR
         convolution of tally row A + L with layer L's indicator, summed
-        over L = R and B.  The first call computes it with transforms,
-        scaled down by 2^m to exact counts.  Each later call adds the change
-        of every tally entry since the call before at the elements of
-        layer L translated by the entry's position, so a pool costs a few
-        whole-cube passes plus one pass over a layer per changed entry.
+        over L = R and B, which the engine keeps up to date.
         """
-        movable = [at for at, parts in enumerate((self.p, self.q)) if parts > 1]
-        if not self.reach:
-            rows = {at + layer for at in movable for layer in (0, 1)}
-            hat = {g: walsh_hadamard(self.tally[g]) for g in rows}
-            for at in movable:
-                both = hat[at] * self.base.fwd[0] + hat[at + 1] * self.base.fwd[1]
-                self.reach[at] = walsh_hadamard(both) >> self.base.m
-        else:
-            n = self.tally.shape[1]
-            changed = np.flatnonzero(self.tally != self.reached)
-            deltas = self.tally.flat[changed] - self.reached.flat[changed]
-            for f, delta in zip(changed.tolist(), deltas.tolist()):
-                g, z = divmod(f, n)
-                for at in movable:
-                    if 0 <= g - at <= 1:  # tally row g pairs layer `at` with layer g - at
-                        # distinct positions, so a fancy += adds delta once to each
-                        self.reach[at][self.layer_elems[g - at] ^ z] += delta
-        np.copyto(self.reached, self.tally)
         broken = self.tally.any(axis=0)
         pool = np.zeros_like(broken)
-        for at in movable:
+        for at in self.movable:
             pool |= self.base.layers[at] & (broken | (self.reach[at] != 0))
         return pool
 

@@ -26,7 +26,8 @@ def find_solver() -> str | None:
     REDBLUE_SOLVER wins when set.  Otherwise the first installed external
     solver is used, and failing that the in-repo `redblue-cdcl` (the
     checkout's `bin/` launcher, then the console script), whose UNSAT
-    verdicts are RUP-checked before it prints them.
+    verdicts are checked along their logged hints (`check_hints`) before
+    it prints them.
     """
     env = os.environ.get("REDBLUE_SOLVER")
     if env:

@@ -5,8 +5,8 @@ Each test prints a single `criterion N [slug]: PASS|FAIL` verdict line
 line carries the same information).  Criteria 5 and 6 run on the solver
 that `conftest.find_solver` picks: an installed external CDCL solver if
 there is one, else the in-repo `bin/redblue-cdcl`, which reports UNSAT only
-after its learned-clause log passes the RUP check.  They fail, rather than
-skip, when no solver at all can be run.
+after its learned-clause log passes the hint check (`check_hints`).  They
+fail, rather than skip, when no solver at all can be run.
 The V >= 20 full-variant battery is opt-in via REDBLUE_EXTENDED=1 because
 it runs for hours.
 """

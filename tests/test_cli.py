@@ -105,7 +105,7 @@ def test_witnesses_memory_cap(capsys):
 
 
 @pytest.mark.parametrize("k", [2, 4, 5])
-@pytest.mark.parametrize("command", ["witnesses", "1,2", "1,2,hill", "3,3,hill"])
+@pytest.mark.parametrize("command", ["witnesses", "1,2", "1,2,hill", "1,3,hill", "2,2,hill", "3,3,hill"])
 def test_memory_estimate_covers_traced_peak(capsys, k, command):
     if command == "witnesses":
         argv = ["witnesses", "--k", str(k)]
@@ -115,7 +115,7 @@ def test_memory_estimate_covers_traced_peak(capsys, k, command):
         argv = ["search", "--k", str(k), "--p", p, "--q", q, "--trials", "2", "--seed", "5"]
         if hill:
             argv += ["--hill", "--budget", "200"]
-        words = cli._search_words(int(p), int(q), bool(hill))
+        words = cli._search_words(int(p), int(q))
     tracemalloc.start()
     try:
         assert run(capsys, *argv)[0] in (0, 1)

@@ -688,6 +688,13 @@ def test_bogus_model_is_rejected(tmp_path):
         solve(tiny_formula(), solver=path)
 
 
+def test_model_missing_a_needed_variable_is_rejected(tmp_path):
+    # variables 5 and 6 are left out: neither clause on the third edge holds
+    path = fake_solver(tmp_path, 'echo "s SATISFIABLE"; echo "v 1 -2 3 -4 0"')
+    with pytest.raises(RuntimeError, match="unsatisfied"):
+        solve(tiny_formula(), solver=path)
+
+
 def test_exit_codes_honored_without_status_line(tmp_path):
     unsat = fake_solver(tmp_path, "exit 20")
     assert solve(tiny_formula(), solver=unsat).status == UNSAT

@@ -498,6 +498,7 @@ def test_trial_loop_transform_count(part2, monkeypatch):
     rows packed into one inverse transform, each (1, 2) trial takes 2
     transforms, and so do a lone report and a climb's setup: one forward
     and one inverse, where the direct route takes 3 forward and 6 inverse.
+    A whole climb takes only its setup's 2: its move pools take none.
     Building a partition takes 3: two forward and one inverse."""
     calls = []
 
@@ -517,6 +518,11 @@ def test_trial_loop_transform_count(part2, monkeypatch):
     calls.clear()
     _ClimbEngine(state, TWO_BLUE)
     assert len(calls) == 2
+    calls.clear()
+    assert not violations(state, TWO_BLUE).solved
+    calls.clear()
+    _final, trace = hill_climb(state, TWO_BLUE, 200, 7)
+    assert trace and len(calls) == 2
     calls.clear()
     layer_partition(2)
     assert len(calls) == 3
@@ -797,8 +803,8 @@ def test_propose_scores_without_writing(shape, k, seed):
 
 @pytest.mark.parametrize("shape, budget", [((1, 3), 10_000), ((2, 2), 3000)])
 def test_move_pool_stays_exact_over_a_long_climb(part3, monkeypatch, shape, budget):
-    # every 25th pool of an annealed climb, built incrementally from the
-    # first, against the reference and against a fresh engine's first pool
+    # every 25th pool of an annealed climb, its reaches updated move by
+    # move, against the reference and against a fresh engine's pool
     p, q = shape
     spec = AlgebraSpec(p, q)
     kept_pool = _ClimbEngine.move_pool
