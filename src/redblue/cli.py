@@ -114,13 +114,13 @@ def _search_words(p: int, q: int) -> float:
     partition, a split's labels and masks (one word) and n(n+1)/2 count
     rows, n = p + q, plus n forward transforms and a running one while
     the rows are computed, or three bool vectors per row while they are
-    judged.  A climb holds beside its rows a tally (three), one reach per
-    movable layer (at most n - 1, at most two), labels and members (one)
-    and the layers' elements (one): at most n + 3, which the transform
-    term covers."""
+    judged.  A climb that recounts its rows holds the transforms beside a
+    tally (three), one reach per movable layer (at most n - 1, at most
+    two), labels and members (one) and the layers' elements (one): at
+    most n + 3 words more."""
     n = p + q
     rows = n * (n + 1) // 2
-    return PARTITION_WORDS + 1 + rows + max(n + TRANSFORM_WORDS, 3 * rows / 8)
+    return PARTITION_WORDS + 1 + rows + max(n + TRANSFORM_WORDS + (n + 3), 3 * rows / 8)
 
 
 def _check_memory(args: argparse.Namespace, m: int, words: float, what: str) -> None:

@@ -123,16 +123,17 @@ class CnfFormula:
     def validate(self) -> None:
         """Raise ValueError naming the first empty clause or bad literal.
 
-        Each group is checked by whole-group scans; the clause loop runs
-        only to name the clause that failed them.
+        Each group's literals are read once, into a set of the distinct
+        ones, which the zero and range checks then read; the clause loop
+        runs only to name the clause that failed them.
         """
-        flat = chain.from_iterable
         for group in self.groups:
+            lits = set(chain.from_iterable(group.clauses))
             if (
                 all(group.clauses)
-                and 0 not in flat(group.clauses)
-                and -self.num_vars <= min(flat(group.clauses), default=0)
-                and max(flat(group.clauses), default=0) <= self.num_vars
+                and 0 not in lits
+                and -self.num_vars <= min(lits, default=0)
+                and max(lits, default=0) <= self.num_vars
             ):
                 continue
             for clause in group.clauses:

@@ -19,7 +19,9 @@ was built (`cube.LayerPartition`).  The climber works on color codes; it
 scores each proposed move by one scan of its kept counts, makes an
 accepted move by writing what that scan found, and adds each tally
 entry it writes to the reaches the pool of elements to move is read
-from, so the climb takes no transform beyond its set-up's counts.
+from.  A count row whose kept lower bound shows it cannot cross zero is
+neither scanned nor written; the climb takes transforms beyond its
+set-up's counts only to recount the rows when such a bound falls to 2.
 """
 
 from __future__ import annotations
@@ -364,18 +366,30 @@ def violations_naive(s: SplitState, spec: AlgebraSpec) -> ViolationReport:
 class _Move(NamedTuple):
     """A proposed recoloring of element e from code `old` to `new`, with
     what `_ClimbEngine.propose` read and `_ClimbEngine.apply` writes: per
-    count row the move touches, the positions, their counts before the
-    move and the step they take; the tally changes where a count crosses
-    zero; and e's own tally under `new`."""
+    count row the move touches, the color d whose elements it steps at
+    e XOR D, those positions and their counts before the move (None for a
+    row `propose` skipped, which may leave the positions uncomputed too)
+    and the step they take; the tally changes where a count crosses zero;
+    and e's own tally under `new`."""
 
     e: int
     old: int
     new: int
     count: int  # the violation count after the move
     total: int  # the tally sum after the move
-    rows: list[tuple[int, np.ndarray, np.ndarray, int]]  # (count row, positions, counts, step)
+    # (count row, d, positions or None, counts or None, step)
+    rows: list[tuple[int, int, np.ndarray | None, np.ndarray | None, int]]
     crossed: list[tuple[int, np.ndarray, np.ndarray]]  # (tally row, positions, changes)
     own: np.ndarray
+
+
+# no step of one move takes a count above this to 0
+_CROSS_MAX = 2
+# a row a move does not read is left stale only with a floor above this,
+# so that it stays stale for at least 7 steps down before it is recounted;
+# at 2, rows whose least count is 3 to 5 forced a recount every few moves
+# (165 recounts in 415 proposals of a k = 5 (1, 4) climb)
+_STALE_FROM = 16
 
 
 class _ClimbEngine:
@@ -393,6 +407,22 @@ class _ClimbEngine:
     makes that one scan against the kept counts and writes nothing, so a
     rejected move costs no update; `apply` writes what it found.
     `violation_count` is the running total plus one per empty part.
+
+    Each count row has a floor, a lower bound on its counts over its
+    support: the positions its layers' pairs reach (`base.rows` of its
+    group above 0), position 0 aside, which lies in no layer and is never
+    judged.  Set up as the exact minimum, a floor drops by the size of
+    each step down its row takes and ignores steps up.  A row whose floor
+    is above a move's crossing value (the step's size as e leaves, 0 as
+    it joins) cannot cross zero there, so `propose` neither reads nor
+    judges it.  `apply` does not write such a row either while its floor
+    is above `_STALE_FROM`, but marks it stale: its kept and its true
+    counts then both stay above 2 on the support and are 0 off it, so
+    judging either gives the same rules, e's own re-score included.  When
+    a stale row's floor falls to 2, the engine recounts every row and
+    floor from its labels by the set-up's own route (`_counts`), and
+    counts the recount in `refreshes`.
+
     Each movable layer's reach, the XOR convolution of the tallies with the
     layer indicators that `move_pool` reads, is kept by one rule: every
     tally change is added at its layer's translates (`_add_reach`), and
@@ -402,10 +432,15 @@ class _ClimbEngine:
     def __init__(self, state: SplitState, spec: AlgebraSpec):
         self.base = state.base
         self.p, self.q = state.p, state.q
+        self.spec = spec
         self.table = table = _rule_table(spec)
+        self.row = table.row.tolist()  # plain ints for the per-proposal lookups
         self.labels = state.labels.copy()
         self.members = [np.flatnonzero(self.labels == code) for code in range(spec.num_diversity)]
         self.counts = _counts(state, spec, naive=False)
+        self.floor = self._floors()
+        self.stale: set[int] = set()
+        self.refreshes = 0
         n = 1 << state.base.m
         self.tally = np.empty((3, n), dtype=np.int64)
         # judged in blocks of positions: a position takes up to 16 bytes per
@@ -424,6 +459,23 @@ class _ClimbEngine:
             at = np.flatnonzero(row)
             self._add_reach(g, at, row[at])
 
+    def _floors(self) -> list[int]:
+        """Each count row's minimum over its support, as plain ints."""
+        supports = [layer_row > 0 for layer_row in self.base.rows]
+        for support in supports:
+            support[0] = False
+        top = np.iinfo(np.int64).max
+        return [int(np.min(row, initial=top, where=supports[g]))
+                for row, g in zip(self.counts, self.table.group.tolist())]
+
+    def _refresh(self) -> None:
+        """Recount every row and floor from the labels; nothing is stale after."""
+        self.counts = None  # dropped first: the recount is the only matrix held
+        self.counts = _counts(self.to_state(0), self.spec, naive=False)
+        self.floor = self._floors()
+        self.stale.clear()
+        self.refreshes += 1
+
     def violation_count(self) -> int:
         return self.total + sum(xs.size == 0 for xs in self.members)
 
@@ -439,25 +491,35 @@ class _ClimbEngine:
         putting it into b raises row {b, d} there, by one per ordered pair
         (two for d = a or b: (e, x) and (x, e)).  The two sets of (row,
         position) pairs are disjoint, so each is judged against today's
-        counts.  D still holds e for d = a, whose terms land on position
+        counts.  A row whose floor is above the step's crossing value is
+        not read: no count of it reaches 0 as e leaves, or leaves 0 as e
+        joins.  D still holds e for d = a, whose terms land on position
         0: labeled -1, it is never tallied, and `apply` sets its counts
         right.  e's own count column does not change, since 0 is in no
         part, so e is re-scored under b as it stands.
         """
-        table = self.table
+        table, floor, row = self.table, self.floor, self.row
         a = int(self.labels[e])
         total = self.total - int(self.tally[:, e].sum())
         rows, crossed = [], []
         for d, xs in enumerate(self.members):
-            z = xs ^ e
+            if not xs.size:
+                continue
+            z = None
             for code, sign in ((a, -1), (b, 1)):
-                u = table.row[code, d]
+                u = row[code][d]
                 step = 2 * sign if d == code else sign
-                before = self.counts[u][z]
-                rows.append((u, z, before, step))
                 # the count reaches 0 as e leaves (it was the step's size),
                 # or leaves 0 as e joins
-                at = z[before == (-step if sign < 0 else 0)]
+                cross = -step if sign < 0 else 0
+                if floor[u] > cross:
+                    rows.append((u, d, z, None, step))
+                    continue
+                if z is None:
+                    z = xs ^ e
+                before = self.counts[u][z]
+                rows.append((u, d, z, before, step))
+                at = z[before == cross]
                 if at.size:
                     delta = sign * table.leave_zero[u, self.labels[at]]
                     crossed.append((table.group[u], at, delta))
@@ -470,16 +532,34 @@ class _ClimbEngine:
         return _Move(e, a, b, total + sizes.count(0), total, rows, crossed, own)
 
     def apply(self, move: _Move) -> None:
-        """Make a proposed move, writing what `propose` found."""
+        """Make a proposed move, writing what `propose` found.
+
+        Floors drop first, by every step down.  A row `propose` read is
+        written from its counts; a row it skipped is stepped in place while
+        its floor is at most `_STALE_FROM` and left stale above that.  If
+        a stale row's floor has reached 2, nothing is written: the labels
+        are moved and every row recounted (`_refresh`)."""
         e, a, b = move.e, move.old, move.new
-        for u, z, before, step in move.rows:
-            self.counts[u][z] = before + step
-        # position 0 of D XOR e for d = a was e XOR e: the pair (e, e)
-        # leaves {a, a} once, not twice, is no pair of {a, b}, and joins {b, b}
-        row = self.table.row
-        self.counts[row[a, a], 0] += 1
-        self.counts[row[a, b], 0] -= 1
-        self.counts[row[b, b], 0] += 1
+        floor, stale = self.floor, self.stale
+        for u, _d, _z, _before, step in move.rows:
+            if step < 0:
+                floor[u] += step
+        refresh = any(floor[u] <= _CROSS_MAX for u in stale)
+        if not refresh:
+            for u, d, z, before, step in move.rows:
+                if before is not None:
+                    self.counts[u][z] = before + step
+                elif u in stale or floor[u] > _STALE_FROM:
+                    stale.add(u)
+                else:
+                    self.counts[u][self.members[d] ^ e if z is None else z] += step
+            # position 0 of D XOR e for d = a was e XOR e: the pair (e, e)
+            # leaves {a, a} once, not twice, is no pair of {a, b}, and joins
+            # {b, b}; a stale row is not written there either
+            row = self.row
+            for u, fix in ((row[a][a], 1), (row[a][b], -1), (row[b][b], 1)):
+                if u not in stale:
+                    self.counts[u, 0] += fix
         for g, at, delta in move.crossed:
             self.tally[g, at] += delta
             self._add_reach(g, at, delta)
@@ -491,6 +571,8 @@ class _ClimbEngine:
         xs = self.members[a]
         self.members[a] = xs[xs != e]
         self.members[b] = np.append(self.members[b], e)
+        if refresh:
+            self._refresh()
 
     def _add_reach(self, g: int, at: Iterable[int], deltas: Iterable[int]) -> None:
         """Add the changes `deltas` of tally row g at positions `at` to the

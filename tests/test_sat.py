@@ -1,5 +1,6 @@
 """CNF encodings, DIMACS plumbing, and solver drivers."""
 
+import dataclasses
 import hashlib
 import itertools
 import os
@@ -232,6 +233,41 @@ def test_formula_validate_names_the_bad_clause(groups, bad):
     )
     with pytest.raises(ValueError, match=re.escape(str(bad))):
         formula.validate()
+
+
+def _validate_by_clause(formula):
+    """The error message the per-clause check gives first, or None."""
+    for group in formula.groups:
+        for clause in group.clauses:
+            if not clause:
+                return f"empty clause in group {group.tag}"
+            if any(lit == 0 or abs(lit) > formula.num_vars for lit in clause):
+                return f"literal out of range in {clause}"
+    return None
+
+
+@pytest.mark.parametrize("bad", [None, "empty", "zero", "above", "below"])
+@pytest.mark.parametrize("where", [[(0, 0)], [(1, -1)], [(2, 7)], [(2, 3), (0, 5)], [(1, 0), (1, 4)]])
+def test_formula_validate_matches_the_clause_loop(bad, where):
+    # a bad clause, or an empty one, put at each (group, position) of an
+    # all-edges formula; the first one in group order is the one named
+    formula = all_edges_formula(5)
+    n = formula.num_vars
+    bad_clause = {None: (1, -2), "empty": (), "zero": (3, 0, -4),
+                  "above": (-1, n + 1), "below": (-(n + 1), 2)}[bad]
+    groups = [list(group.clauses) for group in formula.groups]
+    for gi, at in where:
+        groups[gi].insert(at, bad_clause[:1] + (gi + 1,) + bad_clause[1:] if bad_clause else ())
+    formula = dataclasses.replace(formula, groups=tuple(
+        ClauseGroup(group.tag, tuple(clauses)) for group, clauses in zip(formula.groups, groups)))
+    expected = _validate_by_clause(formula)
+    assert (expected is None) == (bad is None)
+    if expected is None:
+        formula.validate()
+        return
+    with pytest.raises(ValueError) as raised:
+        formula.validate()
+    assert str(raised.value) == expected
 
 
 # ---------------------------------------------------------------------------

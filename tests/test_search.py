@@ -298,6 +298,35 @@ def test_layer_indicators_computed_once_per_partition(part2):
 # ---------------------------------------------------------------------------
 
 
+def _support(engine, u):
+    """Where count row u can be nonzero: its layers' pairs, position 0 aside."""
+    support = engine.base.rows[engine.table.group[u]] > 0
+    support[0] = False
+    return support
+
+
+def _check_engine_counts(engine, state, spec):
+    """The engine's count rows against a fresh count of `state`.
+
+    A row the engine keeps equals it exactly, position 0 included, which
+    no rule judges.  A stale row's kept and fresh counts are both above 2
+    on its support (its layers' pairs, position 0 aside) and equal off it.
+    Every floor is at most its row's fresh minimum on the support."""
+    fresh = _counts(state, spec, naive=False)
+    for u, (kept, true) in enumerate(zip(engine.counts, fresh)):
+        support = _support(engine, u)
+        assert true[support].min() >= engine.floor[u]
+        if u not in engine.stale:
+            assert np.array_equal(kept, true)
+            continue
+        assert engine.floor[u] > 2
+        assert (kept[support] > 2).all() and (true[support] > 2).all()
+        off = ~support
+        off[0] = False
+        assert np.array_equal(kept[off], true[off])
+    return fresh
+
+
 def _engine_entries(engine):
     """Every rule the engine's counts break, as (element, pair): unsatisfied, then forbidden."""
     return sum(_entries(engine.table, engine.counts, engine.labels), ())
@@ -493,13 +522,14 @@ def test_iter_trials_repairs_with_a_budget(part2, anneal):
         assert (row.violations, row.solved) == (report.count, report.solved)
 
 
-def test_trial_loop_transform_count(part2, monkeypatch):
+def test_trial_loop_transform_count(part2, part3, monkeypatch):
     """With the layers' transforms held by the partition and the count
     rows packed into one inverse transform, each (1, 2) trial takes 2
     transforms, and so do a lone report and a climb's setup: one forward
     and one inverse, where the direct route takes 3 forward and 6 inverse.
-    A whole climb takes only its setup's 2: its move pools take none.
-    Building a partition takes 3: two forward and one inverse."""
+    A whole climb takes its setup's 2 and 2 per recount of its stale rows
+    (`_ClimbEngine.refreshes`): its move pools take none.  Building a
+    partition takes 3: two forward and one inverse."""
     calls = []
 
     def counted(vec):
@@ -521,8 +551,21 @@ def test_trial_loop_transform_count(part2, monkeypatch):
     calls.clear()
     assert not violations(state, TWO_BLUE).solved
     calls.clear()
+    engines = []
+
+    class Recorded(_ClimbEngine):
+        def __init__(self, *args):
+            super().__init__(*args)
+            engines.append(self)
+
+    monkeypatch.setattr(search, "_ClimbEngine", Recorded)
     _final, trace = hill_climb(state, TWO_BLUE, 200, 7)
-    assert trace and len(calls) == 2
+    assert trace and len(calls) == 2 + 2 * engines[-1].refreshes
+    calls.clear()
+    ts = trial_seed(3, 0)
+    _final, trace = hill_climb(random_split(part3, 1, 2, ts), TWO_BLUE, 2000, ts)
+    assert trace[-1][1] == 0 and engines[-1].refreshes
+    assert len(calls) == 2 + 2 * engines[-1].refreshes
     calls.clear()
     layer_partition(2)
     assert len(calls) == 3
@@ -736,8 +779,7 @@ def test_engine_tallies_match_fresh_recount(shape, k, seed):
         state = engine.to_state(0)
         fresh = violations(state, spec)
         assert engine.violation_count() == fresh.count
-        # every count, position 0 included, which no rule judges
-        assert np.array_equal(engine.counts, _counts(state, spec, naive=False))
+        _check_engine_counts(engine, state, spec)
         reference = _reference_move_pool(part, p, q, fresh.unsatisfied + fresh.forbidden)
         assert np.array_equal(engine.move_pool(), reference)
 
@@ -756,6 +798,14 @@ def test_engine_tallies_match_fresh_recount(shape, k, seed):
         move(e, options[rng.randrange(len(options))])
         if rng.random() < 0.5:  # rejected: undo it
             move(e, old)
+    # a forced recount leaves nothing stale and every row and floor exact
+    tally, total, refreshes = engine.tally.copy(), engine.total, engine.refreshes
+    engine._refresh()
+    assert engine.refreshes == refreshes + 1 and not engine.stale
+    fresh = _check_engine_counts(engine, engine.to_state(0), spec)
+    assert engine.floor == [int(row[_support(engine, u)].min()) for u, row in enumerate(fresh)]
+    assert np.array_equal(engine.tally, tally) and engine.total == total
+    check()
 
 
 @settings(max_examples=40, deadline=None)
@@ -779,13 +829,14 @@ def test_propose_scores_without_writing(shape, k, seed):
 
     def propose(e, new):
         kept = (engine.labels.copy(), engine.counts.copy(), engine.tally.copy(),
-                [xs.copy() for xs in engine.members], engine.total)
+                [xs.copy() for xs in engine.members], engine.total,
+                list(engine.floor), set(engine.stale))
         move = engine.propose(e, new)
         assert np.array_equal(engine.labels, kept[0])
         assert np.array_equal(engine.counts, kept[1])
         assert np.array_equal(engine.tally, kept[2])
         assert all(map(np.array_equal, engine.members, kept[3]))
-        assert engine.total == kept[4]
+        assert (engine.total, engine.floor, engine.stale) == kept[4:]
         engine.apply(move)
         assert move.count == engine.violation_count() == violations(engine.to_state(0), spec).count
 
@@ -799,6 +850,32 @@ def test_propose_scores_without_writing(shape, k, seed):
         propose(e, rng.choice([c for c in engine.options(e) if c != old]))
         if rng.random() < 0.5:  # and back
             propose(e, old)
+
+
+def test_climb_recounts_stale_rows_exactly(part3, monkeypatch):
+    # k = 3 (1, 2) climbs, each of which recounts its stale rows once; after
+    # every move the kept rows, the stale ones and the tallies hold against
+    # a fresh count
+    engines, stale = [], []
+
+    class Checked(_ClimbEngine):
+        def __init__(self, *args):
+            super().__init__(*args)
+            engines.append(self)
+
+        def apply(self, move):
+            super().apply(move)
+            state = self.to_state(0)
+            _check_engine_counts(self, state, TWO_BLUE)
+            assert self.violation_count() == violations(state, TWO_BLUE).count
+            stale.append(len(self.stale))
+
+    monkeypatch.setattr(search, "_ClimbEngine", Checked)
+    for trial in range(2):
+        ts = trial_seed(3, trial)
+        hill_climb(random_split(part3, 1, 2, ts), TWO_BLUE, 2000, ts)
+    assert [engine.refreshes for engine in engines] == [1, 1]
+    assert max(stale) and stale.count(0)  # moves with stale rows and without
 
 
 @pytest.mark.parametrize("shape, budget", [((1, 3), 10_000), ((2, 2), 3000)])
