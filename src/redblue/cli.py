@@ -103,7 +103,9 @@ def _print_json(payload: dict) -> None:
 # 5.25 (two transforms, three count rows, two bool indicators), a running
 # transform 3 more.
 # FIXED_BYTES covers what does not grow with m, such as sumset gather blocks
-# and the blocks of positions a climb's first tally is judged in.
+# and the blocks of positions a climb's first tally is judged in.  A sumset's
+# translate table (one word per element) lives only while a success is
+# re-checked, after the climb has freed its count rows.
 PARTITION_WORDS = 5.25
 TRANSFORM_WORDS = 3
 FIXED_BYTES = 2**20

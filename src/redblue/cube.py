@@ -4,11 +4,11 @@ The group G = (Z/2Z)^m is the integers [0, 2^m) under XOR.  A subset is a
 single 2^m-bit Python integer whose bit z records membership of z, which
 makes sumsets word-parallel and keeps every count exact.  A sumset splits
 each element of one operand into a bit position inside a 64-bit word and a
-word index: it carries the other operand's mask along a Gray-code walk of
-the bit positions, one butterfly pass per changed bit, gathers the word
-translates of each carried mask with numpy, and stops as soon as it holds
-every element a sumset of the two can hold; the verifier uses only this
-route, so it stays independent of the counts below.  Witness counting
+word index: it builds one table of the other operand's words with their
+bits moved by every in-word position, gathers the word translates from it
+with numpy, and stops as soon as it holds every element a sumset of the
+two can hold; the verifier uses only this route, so it stays independent
+of the counts below.  Witness counting
 (how many ordered pairs (x, y) in X x Y satisfy x XOR y = z) has two
 independent implementations: a vectorized naive enumeration, and the
 Walsh-Hadamard transform route, which diagonalizes XOR convolution.  Their
@@ -27,7 +27,6 @@ here checks such colorings against any member of the family.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from importlib import resources
 from itertools import islice
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -62,32 +61,6 @@ def _check_dim(m: int) -> None:
 def weight(x: int) -> int:
     """Hamming weight of a cube element."""
     return x.bit_count()
-
-
-@lru_cache(maxsize=None)
-def _low_half_pattern(m: int, b: int) -> int:
-    # bit z set iff bit b of z is clear; built by doubling, not by looping 2^m times
-    block = (1 << (1 << b)) - 1
-    width = 1 << (b + 1)
-    pat = block
-    total = 1 << m
-    while width < total:
-        pat |= pat << width
-        width <<= 1
-    return pat
-
-
-def _xor_translate(mask: int, x: int, m: int) -> int:
-    """Mask of {z XOR x : z in mask}, one butterfly swap per set bit of x."""
-    b = 0
-    while x:
-        if x & 1:
-            low = _low_half_pattern(m, b)
-            s = 1 << b
-            mask = ((mask & low) << s) | ((mask >> s) & low)
-        x >>= 1
-        b += 1
-    return mask
 
 
 @dataclass(frozen=True, slots=True)
@@ -200,8 +173,8 @@ def singleton(m: int, x: int) -> CubeSubset:
 
 
 GATHER_BLOCK_WORDS = 1 << 16  # words per gather block: 512 KiB of uint64 plus their int64 indices
-_WORD_BITS = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
-_GRAY6 = [g ^ (g >> 1) for g in range(64)]  # bit positions in a word, reflected Gray order
+# word masks of the bit positions p < 64 with bit b of p clear, b = 0..5
+_LOW_HALVES = [np.uint64(sum(1 << p for p in range(64) if not p >> b & 1)) for b in range(6)]
 
 
 def _words(mask: int, m: int) -> np.ndarray:
@@ -210,31 +183,57 @@ def _words(mask: int, m: int) -> np.ndarray:
     return np.frombuffer(mask.to_bytes(8 * nwords, "little"), dtype="<u8")
 
 
-def _or_of_word_translates(words: np.ndarray, his: np.ndarray) -> np.ndarray:
-    """OR over h in `his` of the word array translated by h: word w of the
-    h-translate is words[w XOR h]."""
-    idx = np.arange(len(words))
-    return np.bitwise_or.reduce(words[idx ^ his[:, None]], axis=0)
+def _translate_table(words: np.ndarray, m: int) -> np.ndarray:
+    """Rows lo < min(64, 2^m): row lo is `words` with every bit position p
+    inside a word moved to p XOR lo.  Built by doubling: the rows from 2^b
+    on are the first 2^b rows with the two halves of every 2^(b+1)-bit
+    field swapped, which moves each bit by XOR with 2^b."""
+    table = np.empty((min(64, 1 << m), len(words)), dtype=np.uint64)
+    table[0] = words
+    for b in range(min(6, m)):
+        shift, low = np.uint64(1 << b), _LOW_HALVES[b]
+        half = table[: 1 << b]
+        np.bitwise_or((half & low) << shift, (half >> shift) & low, out=table[1 << b : 2 << b])
+    return table
+
+
+def _or_of_translates(
+    flat: np.ndarray, idx: np.ndarray, offsets: np.ndarray, index: np.ndarray, gathered: np.ndarray
+) -> np.ndarray:
+    """OR over o in `offsets` of flat[idx XOR o]: one gather and one reduce,
+    through the first len(offsets) rows of the caller's `index` (int64) and
+    `gathered` (uint64) blocks, which every block of a sum reuses:
+    allocating them per block made an in-process `check-rep` at k = 5
+    twice as slow."""
+    index, gathered = index[: len(offsets)], gathered[: len(offsets)]
+    np.bitwise_xor(idx, offsets[:, None], out=index)
+    # every index is in range, so "clip" changes none; it spares take a copy of `out`
+    np.take(flat, index, out=gathered, mode="clip")
+    return np.bitwise_or.reduce(gathered, axis=0)
 
 
 def sumset(x: CubeSubset, y: CubeSubset) -> CubeSubset:
     """The XOR sumset {a XOR b : a in x, b in y}.
 
-    Splits each element e of the smaller operand into its low six bits, a
-    bit position inside a 64-bit word, and its word index e >> 6, since
-    translating by e permutes the bits inside every word by the low part
-    and then the words by the index.  The walk visits the distinct low
-    parts (at most 64) in reflected Gray-code order and carries the larger
-    operand's mask along, one butterfly pass over the 2^m-bit integer per
-    changed bit.  Each carried mask, viewed as uint64 words, is then
-    translated by the word index of every element with that low part with
-    one numpy gather and OR-reduce, in blocks of at most
-    `GATHER_BLOCK_WORDS` gathered words (a block holds one translate when
-    a single one is larger).  After each block the walk stops if the union has reached
+    An element e of the smaller operand splits into its low six bits lo,
+    a bit position inside a 64-bit word, and its word index hi = e >> 6:
+    translating by e moves every bit inside a word by XOR with lo and then
+    every word by XOR with hi.  The larger operand's uint64 words are
+    first expanded into a table whose row lo holds them moved by lo
+    (`_translate_table`, six doubling steps).  Word w of the translate by
+    e is then table[lo, w XOR hi]; since w and hi are below the row length
+    nwords, its flat index in the table is w XOR (lo * nwords + hi).  The
+    smaller operand becomes those offsets, lo-major, from one `unpackbits`
+    of its words; each block of at most `GATHER_BLOCK_WORDS` gathered words
+    (one translate when a single one is larger) is one gather and one
+    OR-reduce.  After each block the sum stops if the union has reached
     the largest possible sumset: the whole group when the operands
     intersect (0 = a XOR a is then in it), the group minus 0 when they are
     disjoint.  The stop is exact, and dense sums such as R+R reach it
     after the first block.
+
+    The table holds one 64-bit word per cube element: 512 KiB at m = 16,
+    32 MiB at m = 22 and 128 MiB at m = 24.
     """
     x._require_same_dim(y)
     m = x.m
@@ -245,21 +244,19 @@ def sumset(x: CubeSubset, y: CubeSubset) -> CubeSubset:
     if x.isdisjoint(y):
         bound = bound.without_zero()
     top = _words(bound.mask, m)
-    small_words = _words(small.mask, m)
-    rows = max(1, GATHER_BLOCK_WORDS // len(top))
+    nwords = len(top)
+    flat = _translate_table(_words(large.mask, m), m).ravel()
+    bits = np.unpackbits(_words(small.mask, m).view(np.uint8), bitorder="little")
+    offsets = np.flatnonzero(bits.reshape(nwords, 64).T)  # lo * nwords + hi, lo-major
+    idx = np.arange(nwords)
+    rows = max(1, GATHER_BLOCK_WORDS // nwords)
+    index = np.empty((min(rows, len(offsets)), nwords), dtype=np.int64)
+    gathered = np.empty_like(index, dtype=np.uint64)
     out = np.zeros_like(top)
-    mask, prev = large.mask, 0
-    for lo in _GRAY6:
-        his = np.flatnonzero(small_words & _WORD_BITS[lo])
-        if not his.size:
-            continue
-        mask = _xor_translate(mask, lo ^ prev, m)
-        prev = lo
-        words = _words(mask, m)
-        for start in range(0, len(his), rows):
-            out |= _or_of_word_translates(words, his[start : start + rows])
-            if np.array_equal(out, top):
-                return bound
+    for start in range(0, len(offsets), rows):
+        out |= _or_of_translates(flat, idx, offsets[start : start + rows], index, gathered)
+        if np.array_equal(out, top):
+            return bound
     return CubeSubset(m, int.from_bytes(out.tobytes(), "little"))
 
 

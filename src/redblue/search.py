@@ -165,16 +165,21 @@ class SplitState:
 def random_split(part: LayerPartition, p: int, q: int, seed: int) -> SplitState:
     """Independently uniform part assignment for every layer element.
 
-    Element x gets `part_index(seed, x, parts)`, computed for all 2^m
+    Element x gets `part_index(seed, x, parts)`, computed for a layer's
     elements at once: `_mix64` is plain integer arithmetic, so on a uint64
-    vector it wraps mod 2^64 exactly as the masked scalar code does.
+    vector it wraps mod 2^64 exactly as the masked scalar code does.  A
+    layer of one part takes no hash, since every draw mod 1 is 0.
     """
     if p < 1 or q < 1:
         raise ValueError("p, q >= 1 required")
-    h = _mix64(np.arange(1 << part.m, dtype=np.uint64) ^ np.uint64(_mix64(seed)))
-    red_layer, blue_layer = part.layers
-    labels = np.where(red_layer, h % p, h % q + p).astype(np.int8)
-    labels[~(red_layer | blue_layer)] = -1
+    key = np.uint64(_mix64(seed))
+    labels = np.full(1 << part.m, -1, dtype=np.int8)
+    for layer, parts, offset in zip(part.layers, (p, q), (0, p)):
+        if parts == 1:
+            labels[layer] = offset
+        else:
+            xs = np.flatnonzero(layer)
+            labels[xs] = _mix64(xs.astype(np.uint64) ^ key) % parts + offset
     return SplitState(part, p, q, seed, labels=labels)
 
 

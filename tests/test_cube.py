@@ -154,7 +154,7 @@ def dense_operands(draw, kind):
     holes = st.sets(st.integers(min_value=0, max_value=n - 1), max_size=n // 4)
     if kind == "intersect":
         # each misses at most a quarter of G, so any |holes| + 1 elements of
-        # the smaller operand already give G: the walk stops before its end
+        # the smaller operand already give G: the sum stops early
         return m, group - draw(holes), group - draw(holes)
     if kind == "disjoint":
         # a set A of odd size has no nonzero period, so (G - A) + A = G - {0}
@@ -165,34 +165,76 @@ def dense_operands(draw, kind):
     return m, set(range(n // 2)) - draw(holes), draw(half)
 
 
+def _blocks_taken(small: set, large: set, bound: set, rows: int) -> int:
+    # the gather blocks of `sumset`: the smaller operand's elements in
+    # lo-major order (bit position in a word, then word index), `rows` to a
+    # block, until the union of their translates of `large` is `bound`
+    order = sorted(small, key=lambda e: (e & 63, e >> 6))
+    union: set = set()
+    for i, e in enumerate(order, 1):
+        union |= {e ^ b for b in large}
+        if union == bound:
+            return -(-i // rows)
+    return -(-len(order) // rows)
+
+
 @pytest.mark.parametrize("kind", ["intersect", "disjoint", "subgroup"])
 @given(data=st.data())
 @settings(deadline=None)
 def test_sumset_saturation_stop(kind, data):
-    # the walk takes one gather block per distinct low part of the smaller
-    # operand (every word index of a low part fits one block up to m = 9),
-    # or one per element when a block holds a single translate
+    # one gather block per `rows` elements of the smaller operand, lo-major,
+    # stopping after the first block whose union is the largest possible
+    # sumset (G, or G minus 0 for disjoint operands); a budget of one word
+    # makes every block a single translate
     m, xs, ys = data.draw(dense_operands(kind))
     sa, sb = CubeSubset.from_elements(m, xs), CubeSubset.from_elements(m, ys)
-    small = xs if len(xs) <= len(ys) else ys
-    gather = cube._or_of_word_translates
-    for budget, blocks in (
-        (cube.GATHER_BLOCK_WORDS, len({e & 63 for e in small})),
-        (1, len(small)),
-    ):
+    small, large = (xs, ys) if len(xs) <= len(ys) else (ys, xs)
+    group = set(range(1 << m))
+    bound = group - {0} if xs.isdisjoint(ys) else group
+    nwords = max(1, (1 << m) >> 6)
+    for budget in (cube.GATHER_BLOCK_WORDS, 1):
+        rows = max(1, budget // nwords)
         with mock.patch.object(cube, "GATHER_BLOCK_WORDS", budget), \
-                mock.patch.object(cube, "_or_of_word_translates", wraps=gather) as spy:
+                mock.patch.object(cube, "_or_of_translates", wraps=cube._or_of_translates) as spy:
             got = sumset(sa, sb)
         assert set(got.elements()) == brute_sumset(m, xs, ys)
         assert got == support(pair_counts_naive(sa, sb), m)
-        everything = CubeSubset.full(m)
-        if kind == "intersect":
-            assert got == everything and spy.call_count < blocks
-        elif kind == "disjoint":
-            assert got == everything.without_zero() and spy.call_count <= blocks
-        else:
-            assert got.issubset(CubeSubset.from_elements(m, range(1 << (m - 1))))
-            assert spy.call_count == blocks
+        assert spy.call_count == _blocks_taken(small, large, bound, rows)
+        if budget == 1:
+            everything = CubeSubset.full(m)
+            if kind == "intersect":
+                assert got == everything and spy.call_count < len(small)
+            elif kind == "disjoint":
+                assert got == everything.without_zero() and spy.call_count <= len(small)
+            else:
+                assert got.issubset(CubeSubset.from_elements(m, range(1 << (m - 1))))
+                assert spy.call_count == len(small)
+
+
+@pytest.mark.parametrize("m", range(1, 11))
+def test_translate_table_rows(m):
+    # row lo of the table holds {p XOR lo : p in mask}, one row per in-word
+    # bit position below min(64, 2^m)
+    rng = np.random.default_rng(m)
+    xs = set(rng.integers(0, 1 << m, size=rng.integers(1, 1 << m, endpoint=True)).tolist())
+    mask = CubeSubset.from_elements(m, xs).mask
+    table = cube._translate_table(cube._words(mask, m), m)
+    assert table.shape == (min(64, 1 << m), max(1, (1 << m) >> 6))
+    for lo, row in enumerate(table):
+        moved = CubeSubset.from_elements(m, {p ^ lo for p in xs}).mask
+        assert int.from_bytes(row.tobytes(), "little") == moved, lo
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+def test_sumset_across_one_word(m):
+    # m < 6 keeps the cube in one partly used word, m = 6 fills it, m = 7
+    # takes two
+    rng = np.random.default_rng(100 + m)
+    for _ in range(40):
+        xs, ys = (set(rng.integers(0, 1 << m, size=rng.integers(1, 1 << m, endpoint=True)).tolist())
+                  for _ in range(2))
+        sa, sb = CubeSubset.from_elements(m, xs), CubeSubset.from_elements(m, ys)
+        assert set(sumset(sa, sb).elements()) == brute_sumset(m, xs, ys)
 
 
 @given(subsets, subsets)
