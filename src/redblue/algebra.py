@@ -261,10 +261,6 @@ class UnionBoundFailure:
         return _exp2_or_inf(self.log2_value)
 
     @property
-    def relaxed(self) -> float:
-        return _exp2_or_inf(self.log2_relaxed)
-
-    @property
     def certifies_success(self) -> bool:
         """True when the strict bound is below 1 (a good split must exist)."""
         return self.log2_value < 0.0
@@ -366,7 +362,7 @@ def best_upper_bound(n: int) -> tuple[int | None, int | None, str]:
         candidates.append((3 * n + 1, UPPER_THEOREM))
     if n >= 2:
         kp = polynomial_regime_k(n)
-        if kp >= 1 and union_bound_failure(n, kp).certifies_success:
+        if union_bound_failure(n, kp).certifies_success:
             candidates.append((3 * kp + 1, UPPER_POLY))
     if not candidates:
         return None, None, ""

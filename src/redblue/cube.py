@@ -78,15 +78,15 @@ class CubeSubset:
     @classmethod
     def from_elements(cls, m: int, elements: Iterable[int]) -> "CubeSubset":
         _check_dim(m)
-        top = 1 << m
-        # dense indicator then packbits: linear, unlike 2^m-bit int updates
-        bits = np.zeros(top, dtype=np.uint8)
-        for x in elements:
-            if not 0 <= x < top:
+        xs = list(elements)
+        # the extremes are checked before numpy sees an int beyond 64 bits
+        for x in (min(xs, default=0), max(xs, default=0)):
+            if not 0 <= x < 1 << m:
                 raise ValueError(f"element {x} outside [0, 2^{m})")
-            bits[x] = 1
-        packed = np.packbits(bits, bitorder="little").tobytes()
-        return cls(m, int.from_bytes(packed, "little"))
+        # dense indicator then packbits: linear, unlike 2^m-bit int updates
+        indicator = np.zeros(1 << m, dtype=bool)
+        indicator[xs] = True
+        return cls.from_indicator(m, indicator)
 
     @classmethod
     def empty(cls, m: int) -> "CubeSubset":
@@ -153,15 +153,8 @@ class CubeSubset:
         self._require_same_dim(other)
         return CubeSubset(self.m, self.mask ^ other.mask)
 
-    def complement(self) -> "CubeSubset":
-        return CubeSubset.full(self.m) - self
-
     def without_zero(self) -> "CubeSubset":
         return CubeSubset(self.m, self.mask & ~1)
-
-    def issubset(self, other: "CubeSubset") -> bool:
-        self._require_same_dim(other)
-        return self.mask & ~other.mask == 0
 
     def isdisjoint(self, other: "CubeSubset") -> bool:
         self._require_same_dim(other)
@@ -680,11 +673,8 @@ def parse_split(text: str) -> GroupColoring:
         name, _, rest = line.partition(":")
         name = name.strip()
         color = parse_color_name(name)
-        elements = [int(tok) for tok in rest.split()]
-        for x in elements:
-            if not 1 <= x < (1 << m):
-                raise ValueError(f"element {x} outside [1, 2^{m})")
         if color in parts:
             raise ValueError(f"duplicate color line {name!r}")
-        parts[color] = CubeSubset.from_elements(m, elements)
+        # element 0 is left to GroupColoring, which keeps it for the identity
+        parts[color] = CubeSubset.from_elements(m, map(int, rest.split()))
     return GroupColoring(m, parts)

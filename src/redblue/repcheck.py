@@ -13,7 +13,7 @@ forces large red cliques inside any representation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, NamedTuple
+from typing import TYPE_CHECKING, Iterable
 
 from .algebra import (
     AlgebraSpec,
@@ -79,9 +79,6 @@ class EdgeColoring:
     @property
     def is_total(self) -> bool:
         return len(self.colors) == self.V * (self.V - 1) // 2
-
-    def copy(self) -> "EdgeColoring":
-        return EdgeColoring(self.V, dict(self.colors))
 
 
 def coloring_from_group(
@@ -194,19 +191,6 @@ def check_representation(c: EdgeColoring, spec: AlgebraSpec) -> RepCheckResult:
 # ---------------------------------------------------------------------------
 
 
-class Role(NamedTuple):
-    """What a configuration vertex is for.
-
-    kinds: endpoint0/endpoint1 (the fixed red edge), bb (witness of the
-    blue-blue need (i, j)), rb0/rb1 (witness of a mixed need, red on the
-    x0 or x1 side respectively), k6 (red-clique extension vertex).
-    """
-
-    kind: str
-    i: int = 0
-    j: int = 0
-
-
 @dataclass(frozen=True)
 class MandatoryConfig:
     """The precolored subgraph every red edge must support.
@@ -219,10 +203,6 @@ class MandatoryConfig:
 
     n: int
     coloring: EdgeColoring
-    roles: dict[int, Role]
-
-    def vertices_with_role(self, kind: str) -> list[int]:
-        return [v for v, r in sorted(self.roles.items()) if r.kind == kind]
 
     def bb_vertex(self, i: int, j: int) -> int:
         # BB vertices follow x0, x1 in (i, j) lexicographic order, 1-based
@@ -245,15 +225,14 @@ def mandatory_configuration(n: int, k6: bool = False) -> MandatoryConfig:
     if k6 and n != 2:
         raise ValueError("the red six-clique extension is defined for n = 2 only")
     V = 2 + n * n + 2 * n + (2 if k6 else 0)
-    config = MandatoryConfig(n, EdgeColoring(V), {0: Role("endpoint0"), 1: Role("endpoint1")})
-    coloring, roles = config.coloring, config.roles
+    config = MandatoryConfig(n, EdgeColoring(V))
+    coloring = config.coloring
     coloring.set_color(0, 1, red(0))
 
     bb: list[int] = []
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             v = config.bb_vertex(i, j)
-            roles[v] = Role("bb", i, j)
             bb.append(v)
             coloring.set_color(0, v, blue(i - 1))
             coloring.set_color(1, v, blue(j - 1))
@@ -261,7 +240,6 @@ def mandatory_configuration(n: int, k6: bool = False) -> MandatoryConfig:
     for side in (0, 1):
         for i in range(1, n + 1):
             v = config.rb_vertex(side, i)
-            roles[v] = Role(f"rb{side}", i)
             rb.append(v)
             if side == 0:
                 coloring.set_color(0, v, red(0))
@@ -276,10 +254,7 @@ def mandatory_configuration(n: int, k6: bool = False) -> MandatoryConfig:
         for w in rb:
             coloring.set_color(a, w, red(0))
     if k6:
-        extras = [V - 2, V - 1]
-        for v in extras:
-            roles[v] = Role("k6")
-        clique = bb + extras
+        clique = bb + [V - 2, V - 1]
         for a in clique:
             for b in clique:
                 if a < b and coloring.color_of(a, b) is None:

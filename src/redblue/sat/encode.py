@@ -260,9 +260,7 @@ def free_edge_clauses(
 VARIANTS = ("basic", "triangles", "full")
 
 
-def _edges_of_color(
-    config: MandatoryConfig, spec: AlgebraSpec, color: ColorId
-) -> list[tuple[int, int, ColorId]]:
+def _edges_of_color(config: MandatoryConfig, color: ColorId) -> list[tuple[int, int, ColorId]]:
     return [
         (i, j, c)
         for (i, j), c in sorted(config.coloring.colors.items())
@@ -305,7 +303,7 @@ def build_formula(
     vm = VarMap(points, spec.num_diversity)
     groups: list[ClauseGroup] = [exactly_one_clauses(vm)]
     groups.append(precolor_clauses(vm, base_config.coloring, spec))
-    red_edges = _edges_of_color(base_config, spec, spec.color_at(0))
+    red_edges = _edges_of_color(base_config, spec.color_at(0))
     groups.append(need_clauses(vm, red_edges, spec, "red-needs"))
 
     clique_edges: list[tuple[int, int, ColorId]] = []
@@ -329,7 +327,7 @@ def build_formula(
 
     if variant == "full":
         for idx, color in enumerate(c for c in spec.diversity_colors() if c.is_blue):
-            blue_edges = _edges_of_color(base_config, spec, color)
+            blue_edges = _edges_of_color(base_config, color)
             groups.append(
                 need_clauses(vm, blue_edges, spec, f"blue-needs-b{idx + 1}")
             )

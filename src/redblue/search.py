@@ -11,8 +11,10 @@ oracle, and any split the hill climber claims to have solved is re-checked
 by the cube module's sumset verifier before being reported.  The two routes
 differ only in how they count (`_counts`); both, and the climber, judge the
 counts by one cached table per spec (`_rule_table`) and one comparison with
-it (`_broken`).  `iter_trials` is the one trial loop, with or without
-repair; `monte_carlo` tallies it.  The transform route derives the last
+it (`_broken`).  A report counts the rules a split breaks and names no
+element: per-element diagnostics come from the sumset verifier.
+`iter_trials` is the one trial loop, with or without repair;
+`monte_carlo` tallies it.  The transform route derives the last
 part of each layer, and the count rows of two last parts, by subtraction
 from the layers' transforms, which the split's base computed once when it
 was built (`cube.LayerPartition`).  The climber works on color codes; it
@@ -36,7 +38,6 @@ import numpy as np
 from .algebra import (
     AlgebraSpec,
     ColorId,
-    NeedPair,
     UnionBoundFailure,
     is_mandatory,
     union_bound_at,
@@ -205,22 +206,21 @@ def embedded_split_state() -> SplitState:
 
 @dataclass(frozen=True)
 class ViolationReport:
-    """Everything keeping a split from being a representation.
+    """How far a split is from being a representation.
 
-    `unsatisfied` lists (element, need) pairs with no witness; `forbidden`
-    lists blue elements covered by an all-blue sumset; `empty_parts` lists
-    colors realized by no element.  Entry order is deterministic: element
-    ascending, then ordered pairs in color-rank order (first color major),
-    and colors in rank order.
+    `broken` counts the (labeled element, ordered color pair) entries that
+    break a rule: a needed pair with no witness, or a banned pair that is
+    realized.  `empty_parts` lists colors realized by no element, in rank
+    order.  Which elements break which rules is not kept; the sumset
+    verifier (`cube.verify_group_representation`) names them.
     """
 
-    unsatisfied: tuple[tuple[int, NeedPair], ...]
-    forbidden: tuple[tuple[int, NeedPair], ...]
+    broken: int
     empty_parts: tuple[ColorId, ...]
 
     @property
     def count(self) -> int:
-        return len(self.unsatisfied) + len(self.forbidden) + len(self.empty_parts)
+        return self.broken + len(self.empty_parts)
 
     @property
     def solved(self) -> bool:
@@ -241,7 +241,6 @@ class _RuleTable(NamedTuple):
     group: np.ndarray  # blue codes in each row's pair: 0 RR, 1 RB, 2 BB
     weights: np.ndarray  # [group, row]: ordered pairs per row, in its group
     leave_zero: np.ndarray  # [row, label]: tally change when a count leaves 0
-    pairs: tuple[NeedPair, ...]  # ordered pair a * size + b, in rank order
     # per group RR, RB, BB: the row of the two layers' last parts, and each
     # other row of the group with the times its pairs enter the layer row
     derive: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
@@ -265,7 +264,6 @@ def _rule_table(spec: AlgebraSpec) -> _RuleTable:
     leave_zero[:, :size] = (ordered * np.where(need, -1, 1)).T
     for table in (row, need, group, weights, leave_zero):
         table.flags.writeable = False  # shared by every caller of the cache
-    pairs = tuple(NeedPair(c1, c2) for c1 in colors for c2 in colors)
     # a layer row counts a mixed pair inside one layer in both orders, and
     # a red-blue pair red first only
     lasts = (spec.p - 1, size - 1)
@@ -275,7 +273,7 @@ def _rule_table(spec: AlgebraSpec) -> _RuleTable:
         others = tuple((u, 1 if g == 1 else int(ordered[u]))
                        for u in np.flatnonzero(group == g).tolist() if u != last)
         derive.append((last, others))
-    return _RuleTable(unordered, row, need, group, weights, leave_zero, pairs, tuple(derive))
+    return _RuleTable(unordered, row, need, group, weights, leave_zero, tuple(derive))
 
 
 def _broken(
@@ -328,29 +326,16 @@ def _counts(s: SplitState, spec: AlgebraSpec, naive: bool) -> np.ndarray:
     return counts
 
 
-def _entries(
-    table: _RuleTable, counts: np.ndarray, labels: np.ndarray
-) -> tuple[tuple[tuple[int, NeedPair], ...], tuple[tuple[int, NeedPair], ...]]:
-    """(unsatisfied, forbidden) entries, element ascending, then ordered
-    pairs in rank order; only positions that break a rule are expanded."""
-    broken = _broken(table, counts, labels, slice(None))
-    zs = np.flatnonzero(broken.any(axis=0) & (labels >= 0))
-    flat = table.row.ravel()  # ordered pair -> its row
-    at, j = np.nonzero(broken[:, zs][flat].T)  # positions x ordered pairs
-    zs = zs[at]
-    needed = table.need[labels[zs], flat[j]]
-    return tuple(
-        tuple(zip(zs[sel].tolist(), map(table.pairs.__getitem__, j[sel].tolist())))
-        for sel in (needed, ~needed)
-    )
-
-
 def _report(s: SplitState, spec: AlgebraSpec, naive: bool) -> ViolationReport:
-    unsat, forbid = _entries(_rule_table(spec), _counts(s, spec, naive), s.labels)
+    table = _rule_table(spec)
+    broken = _broken(table, _counts(s, spec, naive), s.labels, slice(None))
+    zs = np.flatnonzero(broken.any(axis=0) & (s.labels >= 0))
+    # a row stands for its ordered pairs: 1 on the diagonal, 2 off it
+    count = int(broken[:, zs].sum(axis=1) @ table.weights.sum(axis=0))
     present = np.zeros(spec.num_diversity + 1, dtype=bool)
     present[s.labels] = True  # label -1 marks the spare last slot
     empty = tuple(c for c, seen in zip(spec.diversity_colors(), present) if not seen)
-    return ViolationReport(unsat, forbid, empty)
+    return ViolationReport(count, empty)
 
 
 def violations(s: SplitState, spec: AlgebraSpec) -> ViolationReport:

@@ -9,7 +9,7 @@ import pytest
 from redblue.algebra import ALGEBRA_ONE_BLUE, blue, red
 from redblue import cli
 from redblue.cli import main
-from redblue.cube import ResourceLimitError
+from redblue.cube import ResourceLimitError, parse_split
 from redblue.repcheck import EdgeColoring, write_coloring
 from redblue.sat.solve import SOLVER_ENV_VAR
 
@@ -325,6 +325,18 @@ def test_check_rep_usage_errors(capsys, tmp_path):
     assert run(capsys, "check-rep", wrong_q, "--q", "3")[0] == 2
 
     assert run(capsys, "check-rep", str(tmp_path / "missing.txt"))[0] == 2
+
+
+@pytest.mark.parametrize("token", ["0", "8", "-1", "2.5", "x", str(1 << 64), str(-(1 << 70))])
+def test_check_rep_bad_split_element_is_usage_error(capsys, tmp_path, token):
+    # element 0, elements outside [0, 2^m) at any size, and non-integers
+    # are each a ValueError, never an OverflowError
+    text = f"cube m=3 colors=2\nr: 1 2 4 {token}\nb1: 3 5 6 7\n"
+    with pytest.raises(ValueError):
+        parse_split(text)
+    path = tmp_path / "split.txt"
+    path.write_text(text)
+    assert run(capsys, "check-rep", str(path))[0] == 2
 
 
 @pytest.mark.parametrize(

@@ -80,9 +80,9 @@ def test_set_operations_match_python_sets(a, b):
     assert set((sa & sb).elements()) == xs & ys
     assert set((sa - sb).elements()) == xs - ys
     assert set((sa ^ sb).elements()) == xs ^ ys
-    assert sa.issubset(sa | sb)
+    assert not sa - (sa | sb)  # sa is a subset of sa | sb
     assert (sa - sb).isdisjoint(sb)
-    assert set(sa.complement().elements()) == set(range(1 << m)) - xs
+    assert set((CubeSubset.full(m) - sa).elements()) == set(range(1 << m)) - xs
 
 
 def test_weight_is_popcount():
@@ -111,7 +111,7 @@ def test_sumset_monotone(a, b):
     ys = {y % (1 << m) for y in ys}
     sa, sb = CubeSubset.from_elements(m, xs), CubeSubset.from_elements(m, ys)
     grown = sumset(sa | sb, sb)
-    assert sumset(sa, sb).issubset(grown)
+    assert not sumset(sa, sb) - grown
 
 
 WIDE_SHAPES = ("one-low", "one-word", "spread")
@@ -207,7 +207,7 @@ def test_sumset_saturation_stop(kind, data):
             elif kind == "disjoint":
                 assert got == everything.without_zero() and spy.call_count <= len(small)
             else:
-                assert got.issubset(CubeSubset.from_elements(m, range(1 << (m - 1))))
+                assert got & CubeSubset.from_elements(m, range(1 << (m - 1))) == got
                 assert spy.call_count == len(small)
 
 

@@ -67,9 +67,6 @@ def test_edge_coloring_basics():
     assert c.color_of(0, 3) is None
     assert c.colored_edges() == [(1, 2)]
     assert len(c.all_edges()) == 6 and len(c.uncolored_edges()) == 5
-    copied = c.copy()
-    copied.set_color(0, 3, red(0))
-    assert c.color_of(0, 3) is None
 
 
 def test_edge_coloring_rejects_bad_input():
@@ -199,7 +196,7 @@ def test_configuration_census_two_blues():
         census[col] = census.get(col, 0) + 1
     assert census == {red(0): 27, blue(0): 6, blue(1): 6}
     # the uncolored edges are exactly the mixed-witness pairs
-    rb = config.vertices_with_role("rb0") + config.vertices_with_role("rb1")
+    rb = [config.rb_vertex(side, i) for side in (0, 1) for i in (1, 2)]
     assert set(c.uncolored_edges()) == {
         tuple(sorted(e)) for e in itertools.combinations(rb, 2)
     }
@@ -207,9 +204,7 @@ def test_configuration_census_two_blues():
 
 def test_configuration_roles_and_indexing():
     config = mandatory_configuration(2)
-    assert config.vertices_with_role("endpoint0") == [0]
-    assert config.vertices_with_role("endpoint1") == [1]
-    assert config.vertices_with_role("bb") == [2, 3, 4, 5]
+    assert [config.bb_vertex(i, j) for i in (1, 2) for j in (1, 2)] == [2, 3, 4, 5]
     assert config.bb_vertex(1, 1) == 2 and config.bb_vertex(2, 2) == 5
     assert config.rb_vertex(0, 1) == 6 and config.rb_vertex(1, 2) == 9
     c = config.coloring
@@ -225,11 +220,11 @@ def test_configuration_clique_extension():
     c = config.coloring
     assert c.V == 12
     assert len(c.colored_edges()) == 48  # 9 new red edges close the 6-clique
-    extras = config.vertices_with_role("k6")
-    assert extras == [10, 11]
-    clique = config.vertices_with_role("bb") + extras
+    extras = [c.V - 2, c.V - 1]  # the last two vertices
+    clique = [config.bb_vertex(i, j) for i in (1, 2) for j in (1, 2)] + extras
     for a, b in itertools.combinations(clique, 2):
         assert c.color_of(a, b) == red(0)
+    assert all(c.color_of(v, w) is None for v in extras for w in range(c.V) if w not in clique)
     with pytest.raises(ValueError):
         mandatory_configuration(3, k6=True)
 
@@ -239,7 +234,7 @@ def test_configuration_scales_with_blue_count():
     c = config.coloring
     assert c.V == 2 + 9 + 6
     assert len(c.uncolored_edges()) == 15  # C(6, 2) mixed-witness pairs
-    assert len(config.vertices_with_role("bb")) == 9
+    assert [config.bb_vertex(i, j) for i in (1, 2, 3) for j in (1, 2, 3)] == list(range(2, 11))
     with pytest.raises(ValueError):
         mandatory_configuration(0)
 
@@ -292,7 +287,7 @@ def test_needs_deficit_covers_every_need_once():
 
 def test_needs_deficit_rejects_uncolored_probe():
     config = mandatory_configuration(2)
-    rb = config.vertices_with_role("rb0")
+    rb = [config.rb_vertex(0, i) for i in (1, 2)]
     with pytest.raises(ValueError):
         needs_deficit(config, rb[0], rb[1])
 

@@ -28,7 +28,7 @@ from redblue.search import (
     violations,
     violations_naive,
 )
-from redblue.search import _counts, _entries, iter_trials
+from redblue.search import _broken, _counts, _rule_table, iter_trials
 from redblue import cube, search
 
 TWO_BLUE = AlgebraSpec(1, 2)
@@ -104,9 +104,19 @@ def test_trivial_split_is_solved(part1, part2):
 
 def test_violation_count_frozen(part2):
     report = violations(random_split(part2, 1, 2, 7), TWO_BLUE)
-    assert report.count == 101
+    assert report.count == report.broken == 101
     assert not report.solved
-    assert not report.forbidden and not report.empty_parts
+    assert not report.empty_parts
+
+
+def _judged(table, counts, labels):
+    """The `_broken` matrix of `counts`, False at unlabeled positions."""
+    return _broken(table, counts, labels, slice(None)) & (labels >= 0)
+
+
+def _fresh_judged(state, spec, naive=False):
+    """`_judged` on a fresh count of `state` by either route."""
+    return _judged(_rule_table(spec), _counts(state, spec, naive), state.labels)
 
 
 def test_violations_match_naive_path(part2):
@@ -114,10 +124,9 @@ def test_violations_match_naive_path(part2):
         state = random_split(part2, 1, 2, seed)
         fast = violations(state, TWO_BLUE)
         slow = violations_naive(state, TWO_BLUE)
-        assert fast.count == slow.count
-        assert fast.unsatisfied == slow.unsatisfied
-        assert fast.forbidden == slow.forbidden
-        assert fast.empty_parts == slow.empty_parts
+        assert fast == slow
+        assert np.array_equal(_fresh_judged(state, TWO_BLUE),
+                              _fresh_judged(state, TWO_BLUE, naive=True))
 
 
 def _reference_report(state, spec):
@@ -166,11 +175,16 @@ def test_report_matches_reference(shape, k, seed, emptied, moved):
         base = LayerPartition(k, base.R - point, base.B | point)
         labels[x] = p
     state = SplitState(base, p, q, seed, labels=labels)
-    expected = _reference_report(state, spec)
-    assert bool(expected[1]) == moved  # the blue layer is sum-free until then
-    assert not emptied or spec.color_at(p + q - 1) in expected[2]
-    for report in (violations(state, spec), violations_naive(state, spec)):
-        assert (report.unsatisfied, report.forbidden, report.empty_parts) == expected
+    unsatisfied, forbidden, empty = _reference_report(state, spec)
+    assert bool(forbidden) == moved  # the blue layer is sum-free until then
+    assert not emptied or spec.color_at(p + q - 1) in empty
+    # a broken rule on an unordered pair breaks both its ordered pairs
+    expected = {(z, *sorted(map(spec.color_index, pair))) for z, pair in unsatisfied + forbidden}
+    table = _rule_table(spec)
+    for naive, report in ((False, violations(state, spec)), (True, violations_naive(state, spec))):
+        assert (report.broken, report.empty_parts) == (len(unsatisfied) + len(forbidden), empty)
+        rows, zs = np.nonzero(_fresh_judged(state, spec, naive))
+        assert {(z, *table.unordered[u]) for u, z in zip(rows.tolist(), zs.tolist())} == expected
 
 
 @pytest.mark.parametrize(
@@ -327,9 +341,10 @@ def _check_engine_counts(engine, state, spec):
     return fresh
 
 
-def _engine_entries(engine):
-    """Every rule the engine's counts break, as (element, pair): unsatisfied, then forbidden."""
-    return sum(_entries(engine.table, engine.counts, engine.labels), ())
+def _engine_judged(engine):
+    """The `_broken` matrix of the engine's kept counts at labeled positions;
+    a stale row judges as its fresh count does."""
+    return _judged(engine.table, engine.counts, engine.labels)
 
 
 def test_engine_incremental_matches_fresh(part1):
@@ -345,13 +360,9 @@ def test_engine_incremental_matches_fresh(part1):
         if engine.labels[e] == code:
             continue
         engine.apply(engine.propose(e, code))
-        fresh = violations(engine.to_state(0), TWO_BLUE)
-        key = lambda t: (t[0], t[1].first.kind, t[1].first.index,
-                         t[1].second.kind, t[1].second.index)
-        assert engine.violation_count() == fresh.count
-        assert sorted(_engine_entries(engine), key=key) == sorted(
-            fresh.unsatisfied, key=key
-        )
+        state = engine.to_state(0)
+        assert engine.violation_count() == violations(state, TWO_BLUE).count
+        assert np.array_equal(_engine_judged(engine), _fresh_judged(state, TWO_BLUE))
 
 
 def test_engine_moves_in_both_layers_match_fresh(part2):
@@ -360,19 +371,15 @@ def test_engine_moves_in_both_layers_match_fresh(part2):
     spec = AlgebraSpec(2, 2)
     state = random_split(part2, 2, 2, 13)
     engine = _ClimbEngine(state, spec)
-    key = lambda t: (t[0], t[1].first.kind, t[1].first.index,
-                     t[1].second.kind, t[1].second.index)
     reds = sorted(part2.R.elements())[:4]
     blues = sorted(part2.B.elements())[:4]
     for e in [reds[0], blues[0], reds[1], blues[1], reds[0], blues[2], reds[3], blues[0]]:
         current = engine.labels[e]
         target = next(c for c in engine.options(e) if c != current)
         engine.apply(engine.propose(e, target))
-        fresh = violations(engine.to_state(0), spec)
-        assert engine.violation_count() == fresh.count
-        assert sorted(_engine_entries(engine), key=key) == sorted(
-            fresh.unsatisfied + fresh.forbidden, key=key
-        )
+        state = engine.to_state(0)
+        assert engine.violation_count() == violations(state, spec).count
+        assert np.array_equal(_engine_judged(engine), _fresh_judged(state, spec))
 
 
 def test_engine_move_pool_stays_in_blue_layer(part2):
@@ -732,22 +739,28 @@ def test_hill_climb_frozen_k3(part3):
         assert hashlib.sha256(final.labels.tobytes()).hexdigest() == labels_sha, (p, q, trial)
 
 
-def _reference_move_pool(part: LayerPartition, p: int, q: int, items) -> np.ndarray:
+def _reference_move_pool(state: SplitState, spec: AlgebraSpec) -> np.ndarray:
     """The climb's move pool as it was first written: one pass per
-    violating (element, pair) item over the whole cube."""
+    violating (element, pair) item over the whole cube.  The items are
+    the broken rules of a fresh count of `state`, one per unordered pair:
+    the pass is symmetric in the pair's two colors."""
+    part, p = state.base, spec.p
     n = 1 << part.m
     index = np.arange(n)
-    layer_ind = {"R": part.R.indicator().astype(bool), "B": part.B.indicator().astype(bool)}
+    red_layer, blue_layer = (layer.indicator().astype(bool) for layer in (part.R, part.B))
     pool = np.zeros(n, dtype=bool)
     movable = np.zeros(n, dtype=bool)
     if p > 1:
-        movable |= layer_ind["R"]
-    if q > 1:
-        movable |= layer_ind["B"]
-    for z, pair in items:
+        movable |= red_layer
+    if spec.q > 1:
+        movable |= blue_layer
+    unordered = _rule_table(spec).unordered
+    rows, zs = np.nonzero(_fresh_judged(state, spec))
+    for u, z in zip(rows.tolist(), zs.tolist()):
+        a, b = unordered[u]
         pool[z] = True
-        la = layer_ind["R"] if pair.first.is_red else layer_ind["B"]
-        lb = layer_ind["R"] if pair.second.is_red else layer_ind["B"]
+        la = red_layer if a < p else blue_layer
+        lb = red_layer if b < p else blue_layer
         idx = index ^ z
         pool |= la & lb[idx]
         pool |= lb & la[idx]
@@ -777,10 +790,9 @@ def test_engine_tallies_match_fresh_recount(shape, k, seed):
 
     def check():
         state = engine.to_state(0)
-        fresh = violations(state, spec)
-        assert engine.violation_count() == fresh.count
+        assert engine.violation_count() == violations(state, spec).count
         _check_engine_counts(engine, state, spec)
-        reference = _reference_move_pool(part, p, q, fresh.unsatisfied + fresh.forbidden)
+        reference = _reference_move_pool(state, spec)
         assert np.array_equal(engine.move_pool(), reference)
 
     def move(e, new):
@@ -892,8 +904,7 @@ def test_move_pool_stays_exact_over_a_long_climb(part3, monkeypatch, shape, budg
         pools.append(None)
         if len(pools) % 25 == 0:
             state = engine.to_state(0)
-            fresh = violations(state, spec)
-            reference = _reference_move_pool(part3, p, q, fresh.unsatisfied + fresh.forbidden)
+            reference = _reference_move_pool(state, spec)
             assert np.array_equal(pool, reference)
             assert np.array_equal(pool, kept_pool(_ClimbEngine(state, spec)))
         return pool
