@@ -44,6 +44,8 @@ from .algebra import (
     union_bound_at,
 )
 from .cube import (
+    GATHER_BLOCK_WORDS,
+    SHARE_CAP,
     CubeSubset,
     GroupColoring,
     ResourceLimitError,
@@ -102,13 +104,15 @@ def _print_json(payload: dict) -> None:
 # Memory estimates, in int64 words per cube element: a layer partition holds
 # 5.25 (two transforms, three count rows, two bool indicators), a running
 # transform 3 more.
-# FIXED_BYTES covers what does not grow with m, such as sumset gather blocks
-# and the blocks of positions a climb's first tally is judged in.  A sumset's
+# FIXED_BYTES covers what does not grow with m: the gather blocks of a
+# sumset, an int64 index and a uint64 gather block for each of its at most
+# SHARE_CAP shares, which also covers the blocks of positions a climb's
+# first tally is judged in and its reaches are added in.  A sumset's
 # translate table (one word per element) lives only while a success is
 # re-checked, after the climb has freed its count rows.
 PARTITION_WORDS = 5.25
 TRANSFORM_WORDS = 3
-FIXED_BYTES = 2**20
+FIXED_BYTES = SHARE_CAP * 16 * GATHER_BLOCK_WORDS
 
 
 def _search_words(p: int, q: int) -> float:

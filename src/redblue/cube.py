@@ -7,8 +7,11 @@ each element of one operand into a bit position inside a 64-bit word and a
 word index: it builds one table of the other operand's words with their
 bits moved by every in-word position, gathers the word translates from it
 with numpy, and stops as soon as it holds every element a sumset of the
-two can hold; the verifier uses only this route, so it stays independent
-of the counts below.  Witness counting
+two can hold.  The caller gathers a short first block alone, where dense
+sums stop, and deals the other blocks to up to `SHARE_CAP` shares, one per
+usable CPU, on threads started by the first sum that needs them.  The
+verifier uses only this route, so it stays independent of the counts
+below.  Witness counting
 (how many ordered pairs (x, y) in X x Y satisfy x XOR y = z) has two
 independent implementations: a vectorized naive enumeration, and the
 Walsh-Hadamard transform route, which diagonalizes XOR convolution.  Their
@@ -26,6 +29,8 @@ here checks such colorings against any member of the family.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass, field
 from importlib import resources
 from itertools import islice
@@ -166,6 +171,12 @@ def singleton(m: int, x: int) -> CubeSubset:
 
 
 GATHER_BLOCK_WORDS = 1 << 16  # words per gather block: 512 KiB of uint64 plus their int64 indices
+# translates in a sum's first block, which the caller gathers alone: R+R of
+# the layer split at k saturates after 2^(k+1) of them, 64 at k = 5
+FIRST_BLOCK_TRANSLATES = 64
+# most shares one sum deals its blocks to, the caller's among them; each
+# share holds a 1 MiB pair of blocks
+SHARE_CAP = 4
 # word masks of the bit positions p < 64 with bit b of p clear, b = 0..5
 _LOW_HALVES = [np.uint64(sum(1 << p for p in range(64) if not p >> b & 1)) for b in range(6)]
 
@@ -180,13 +191,20 @@ def _translate_table(words: np.ndarray, m: int) -> np.ndarray:
     """Rows lo < min(64, 2^m): row lo is `words` with every bit position p
     inside a word moved to p XOR lo.  Built by doubling: the rows from 2^b
     on are the first 2^b rows with the two halves of every 2^(b+1)-bit
-    field swapped, which moves each bit by XOR with 2^b."""
+    field swapped, which moves each bit by XOR with 2^b.  Each step
+    writes in place beside one spare block: with a temporary per
+    operation the table took 1.5x as long at m = 16 and 19."""
     table = np.empty((min(64, 1 << m), len(words)), dtype=np.uint64)
     table[0] = words
+    spare = np.empty_like(table[: len(table) // 2])
     for b in range(min(6, m)):
         shift, low = np.uint64(1 << b), _LOW_HALVES[b]
-        half = table[: 1 << b]
-        np.bitwise_or((half & low) << shift, (half >> shift) & low, out=table[1 << b : 2 << b])
+        half, moved, high = table[: 1 << b], table[1 << b : 2 << b], spare[: 1 << b]
+        np.bitwise_and(half, low, out=moved)
+        moved <<= shift
+        np.right_shift(half, shift, out=high)
+        high &= low
+        moved |= high
     return table
 
 
@@ -194,8 +212,8 @@ def _or_of_translates(
     flat: np.ndarray, idx: np.ndarray, offsets: np.ndarray, index: np.ndarray, gathered: np.ndarray
 ) -> np.ndarray:
     """OR over o in `offsets` of flat[idx XOR o]: one gather and one reduce,
-    through the first len(offsets) rows of the caller's `index` (int64) and
-    `gathered` (uint64) blocks, which every block of a sum reuses:
+    through the first len(offsets) rows of a share's `index` (int64) and
+    `gathered` (uint64) blocks, which every block of the share reuses:
     allocating them per block made an in-process `check-rep` at k = 5
     twice as slow."""
     index, gathered = index[: len(offsets)], gathered[: len(offsets)]
@@ -203,6 +221,71 @@ def _or_of_translates(
     # every index is in range, so "clip" changes none; it spares take a copy of `out`
     np.take(flat, index, out=gathered, mode="clip")
     return np.bitwise_or.reduce(gathered, axis=0)
+
+
+def _gather_blocks(rows: int, nwords: int) -> tuple[np.ndarray, np.ndarray]:
+    """A share's index and gather blocks, `rows` translates of `nwords` each."""
+    index = np.empty((rows, nwords), dtype=np.int64)
+    return index, np.empty_like(index, dtype=np.uint64)
+
+
+class _Union:
+    """The OR of a sum's gather blocks, which its shares add to under a lock.
+
+    `stop` is set once the words equal `top`, or when a share fails; every
+    share reads it before each block and ends there."""
+
+    def __init__(self, top: np.ndarray):
+        self.top = top
+        self.words = np.zeros_like(top)
+        self.stop = False
+        self._lock = threading.Lock()
+
+    def add(self, block: np.ndarray) -> None:
+        with self._lock:
+            self.words |= block
+            if np.array_equal(self.words, self.top):
+                self.stop = True
+
+
+def _gather_share(
+    flat: np.ndarray, idx: np.ndarray, offsets: np.ndarray, starts: range, rows: int,
+    union: _Union, blocks: tuple[np.ndarray, np.ndarray],
+) -> None:
+    """OR into `union` the blocks offsets[start : start + rows], start in
+    `starts`, until it stops; a share that fails stops the others."""
+    try:
+        for start in starts:
+            if union.stop:
+                return
+            union.add(_or_of_translates(flat, idx, offsets[start : start + rows], *blocks))
+    except BaseException:
+        union.stop = True
+        raise
+
+
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _share_pool():
+    """The threads that run the helper shares of every sum, started by the
+    first sum that deals its blocks to more than one share."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _pool = ThreadPoolExecutor(SHARE_CAP - 1, thread_name_prefix="redblue-sumset")
+        return _pool
+
+
+def _usable_cpus() -> int:
+    """How many CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def sumset(x: CubeSubset, y: CubeSubset) -> CubeSubset:
@@ -217,16 +300,29 @@ def sumset(x: CubeSubset, y: CubeSubset) -> CubeSubset:
     e is then table[lo, w XOR hi]; since w and hi are below the row length
     nwords, its flat index in the table is w XOR (lo * nwords + hi).  The
     smaller operand becomes those offsets, lo-major, from one `unpackbits`
-    of its words; each block of at most `GATHER_BLOCK_WORDS` gathered words
-    (one translate when a single one is larger) is one gather and one
-    OR-reduce.  After each block the sum stops if the union has reached
-    the largest possible sumset: the whole group when the operands
+    of its words; each block of them is one gather and one OR-reduce.  A
+    block holds at most `GATHER_BLOCK_WORDS` gathered words (one translate
+    when a single one is larger), and the first at most
+    `FIRST_BLOCK_TRANSLATES` translates.  The sum stops once the union has
+    reached the largest possible sumset: the whole group when the operands
     intersect (0 = a XOR a is then in it), the group minus 0 when they are
-    disjoint.  The stop is exact, and dense sums such as R+R reach it
-    after the first block.
+    disjoint.  The stop is exact, and dense sums such as R+R at k <= 5
+    reach it within the first block.
+
+    The caller gathers the first block alone.  It deals the blocks left
+    round-robin to min(usable CPUs, `SHARE_CAP`, blocks left) shares,
+    runs share 0 itself and the others on a pool of threads started by
+    the first sum that needs one; numpy releases the interpreter lock
+    while it gathers.  Each share ORs its blocks into one union under a
+    lock, and every share stops once the union is the largest possible
+    sumset.  OR is order-free, so the result is the same in any schedule.
+    With one usable CPU, or one block left, the caller gathers every block
+    and no thread starts.  An exception in any share stops the others at
+    their next block and is raised once every share has ended.
 
     The table holds one 64-bit word per cube element: 512 KiB at m = 16,
-    32 MiB at m = 22 and 128 MiB at m = 24.
+    32 MiB at m = 22 and 128 MiB at m = 24.  Each share holds an index
+    and a gather block of up to 512 KiB each.
     """
     x._require_same_dim(y)
     m = x.m
@@ -242,15 +338,29 @@ def sumset(x: CubeSubset, y: CubeSubset) -> CubeSubset:
     bits = np.unpackbits(_words(small.mask, m).view(np.uint8), bitorder="little")
     offsets = np.flatnonzero(bits.reshape(nwords, 64).T)  # lo * nwords + hi, lo-major
     idx = np.arange(nwords)
-    rows = max(1, GATHER_BLOCK_WORDS // nwords)
-    index = np.empty((min(rows, len(offsets)), nwords), dtype=np.int64)
-    gathered = np.empty_like(index, dtype=np.uint64)
-    out = np.zeros_like(top)
-    for start in range(0, len(offsets), rows):
-        out |= _or_of_translates(flat, idx, offsets[start : start + rows], index, gathered)
-        if np.array_equal(out, top):
-            return bound
-    return CubeSubset(m, int.from_bytes(out.tobytes(), "little"))
+    rows = min(max(1, GATHER_BLOCK_WORDS // nwords), len(offsets))
+    first = min(rows, FIRST_BLOCK_TRANSLATES)
+    union = _Union(top)
+    caller_blocks = _gather_blocks(rows, nwords)
+    union.add(_or_of_translates(flat, idx, offsets[:first], *caller_blocks))
+    left = -(-(len(offsets) - first) // rows)
+    shares = 1 if union.stop or left <= 1 else min(_usable_cpus(), SHARE_CAP, left)
+    starts = [range(first + s * rows, len(offsets), shares * rows) for s in range(shares)]
+    futures = [
+        _share_pool().submit(_gather_share, flat, idx, offsets, starts[s], rows, union,
+                             _gather_blocks(rows, nwords))
+        for s in range(1, shares)
+    ]
+    try:
+        _gather_share(flat, idx, offsets, starts[0], rows, union, caller_blocks)
+    finally:
+        for future in futures:
+            future.exception()  # waits: no share outlives the sum
+    for future in futures:
+        future.result()
+    if union.stop:  # every share ended without failing: the union is full
+        return bound
+    return CubeSubset(m, int.from_bytes(union.words.tobytes(), "little"))
 
 
 # ---------------------------------------------------------------------------

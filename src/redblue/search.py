@@ -380,6 +380,10 @@ _CROSS_MAX = 2
 # at 2, rows whose least count is 3 to 5 forced a recount every few moves
 # (165 recounts in 415 proposals of a k = 5 (1, 4) climb)
 _STALE_FROM = 16
+# translated layer elements one np.add.at call of `_add_reach` adds to:
+# 256 KiB of int64 positions and as much of changes, which stay in cache;
+# 2^18 took 20% longer over a k = 5 climb's first reaches
+_REACH_BLOCK = 1 << 15
 
 
 class _ClimbEngine:
@@ -552,9 +556,11 @@ class _ClimbEngine:
                     self.counts[u, 0] += fix
         for g, at, delta in move.crossed:
             self.tally[g, at] += delta
-            self._add_reach(g, at, delta)
-        for g in range(3):
-            self._add_reach(g, [e], [move.own[g] - self.tally[g, e]])
+            if delta.any():  # most crossings change no tally
+                self._add_reach(g, at, delta)
+        for g, change in enumerate((move.own - self.tally[:, e]).tolist()):
+            if change:
+                self._add_reach(g, np.array([e]), np.array([change]))
         self.tally[:, e] = move.own
         self.total = move.total
         self.labels[e] = b
@@ -564,18 +570,22 @@ class _ClimbEngine:
         if refresh:
             self._refresh()
 
-    def _add_reach(self, g: int, at: Iterable[int], deltas: Iterable[int]) -> None:
+    def _add_reach(self, g: int, at: np.ndarray, deltas: np.ndarray) -> None:
         """Add the changes `deltas` of tally row g at positions `at` to the
         reaches.  Row g pairs layer A with layer g - A, so an entry at z
         reaches x in A when x XOR z lies in layer g - A: the change is added
-        at the elements of that layer translated by z."""
+        at the elements of that layer translated by z.  The entries go in
+        blocks of at most `_REACH_BLOCK` translated elements, one
+        `np.add.at` each, which adds a change once for every entry of the
+        block that reaches an element."""
         for a in self.movable:
             if 0 <= g - a <= 1:
                 elems = self.layer_elems[g - a]
-                for z, delta in zip(at, deltas):
-                    if delta:
-                        # distinct positions, so a fancy += adds delta once to each
-                        self.reach[a][elems ^ z] += delta
+                per = max(1, _REACH_BLOCK // elems.size)
+                for lo in range(0, at.size, per):
+                    zs, changes = at[lo : lo + per], deltas[lo : lo + per]
+                    np.add.at(self.reach[a], np.bitwise_xor.outer(zs, elems).ravel(),
+                              changes.repeat(elems.size))
 
     def move_pool(self) -> np.ndarray:
         """Elements implicated in some violation and free to change part.

@@ -3,11 +3,12 @@
 import argparse
 import json
 import tracemalloc
+from unittest import mock
 
 import pytest
 
 from redblue.algebra import ALGEBRA_ONE_BLUE, blue, red
-from redblue import cli
+from redblue import cli, cube
 from redblue.cli import main
 from redblue.cube import ResourceLimitError, parse_split
 from redblue.repcheck import EdgeColoring, write_coloring
@@ -116,12 +117,19 @@ def test_memory_estimate_covers_traced_peak(capsys, k, command):
         if hill:
             argv += ["--hill", "--budget", "200"]
         words = cli._search_words(int(p), int(q))
-    tracemalloc.start()
-    try:
-        assert run(capsys, *argv)[0] in (0, 1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    # every sum with blocks to deal deals them to SHARE_CAP shares, each with
+    # its own gather blocks; tracemalloc traces the helper threads too
+    with mock.patch.object(cube, "_usable_cpus", return_value=cube.SHARE_CAP), \
+            mock.patch.object(cube, "_share_pool", wraps=cube._share_pool) as helpers:
+        tracemalloc.start()
+        try:
+            assert run(capsys, *argv)[0] in (0, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    if k == 5 and command == "1,2,hill":
+        # both trials are solved, and their re-checks deal sums to every share
+        assert helpers.call_count >= 2 * (cube.SHARE_CAP - 1)
     # a cap at the traced peak must refuse the work: the estimate is above it
     with pytest.raises(ResourceLimitError):
         cli._check_memory(argparse.Namespace(memory_cap_mb=peak / 2**20), 3 * k + 1, words, "")

@@ -1,5 +1,10 @@
 """Bitmask subsets, exact pair counting, layer partitions, and verification."""
 
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -165,27 +170,29 @@ def dense_operands(draw, kind):
     return m, set(range(n // 2)) - draw(holes), draw(half)
 
 
-def _blocks_taken(small: set, large: set, bound: set, rows: int) -> int:
-    # the gather blocks of `sumset`: the smaller operand's elements in
-    # lo-major order (bit position in a word, then word index), `rows` to a
-    # block, until the union of their translates of `large` is `bound`
+def _blocks_taken(small: set, large: set, bound: set, first: int, rows: int) -> int:
+    # the gather blocks of a one-share `sumset`: the smaller operand's
+    # elements in lo-major order (bit position in a word, then word index),
+    # `first` in the first block and `rows` in each later one, until the
+    # union of their translates of `large` is `bound`
     order = sorted(small, key=lambda e: (e & 63, e >> 6))
     union: set = set()
     for i, e in enumerate(order, 1):
         union |= {e ^ b for b in large}
         if union == bound:
-            return -(-i // rows)
-    return -(-len(order) // rows)
+            break
+    return 1 + max(0, -(-(i - first) // rows))
 
 
 @pytest.mark.parametrize("kind", ["intersect", "disjoint", "subgroup"])
 @given(data=st.data())
 @settings(deadline=None)
 def test_sumset_saturation_stop(kind, data):
-    # one gather block per `rows` elements of the smaller operand, lo-major,
-    # stopping after the first block whose union is the largest possible
-    # sumset (G, or G minus 0 for disjoint operands); a budget of one word
-    # makes every block a single translate
+    # one share gathers every block: the first holds `first` elements of
+    # the smaller operand, lo-major, and each later one `rows`, stopping
+    # after the first block whose union is the largest possible sumset (G,
+    # or G minus 0 for disjoint operands); a budget of one word makes every
+    # block a single translate
     m, xs, ys = data.draw(dense_operands(kind))
     sa, sb = CubeSubset.from_elements(m, xs), CubeSubset.from_elements(m, ys)
     small, large = (xs, ys) if len(xs) <= len(ys) else (ys, xs)
@@ -194,12 +201,14 @@ def test_sumset_saturation_stop(kind, data):
     nwords = max(1, (1 << m) >> 6)
     for budget in (cube.GATHER_BLOCK_WORDS, 1):
         rows = max(1, budget // nwords)
+        first = min(rows, cube.FIRST_BLOCK_TRANSLATES)
         with mock.patch.object(cube, "GATHER_BLOCK_WORDS", budget), \
+                mock.patch.object(cube, "SHARE_CAP", 1), \
                 mock.patch.object(cube, "_or_of_translates", wraps=cube._or_of_translates) as spy:
             got = sumset(sa, sb)
         assert set(got.elements()) == brute_sumset(m, xs, ys)
         assert got == support(pair_counts_naive(sa, sb), m)
-        assert spy.call_count == _blocks_taken(small, large, bound, rows)
+        assert spy.call_count == _blocks_taken(small, large, bound, first, rows)
         if budget == 1:
             everything = CubeSubset.full(m)
             if kind == "intersect":
@@ -209,6 +218,109 @@ def test_sumset_saturation_stop(kind, data):
             else:
                 assert got & CubeSubset.from_elements(m, range(1 << (m - 1))) == got
                 assert spy.call_count == len(small)
+
+
+@st.composite
+def sparse_operands(draw):
+    # a few elements each, which may or may not meet
+    m = draw(st.integers(min_value=2, max_value=9))
+    few = st.sets(st.integers(min_value=0, max_value=(1 << m) - 1), min_size=1, max_size=24)
+    return m, draw(few), draw(few)
+
+
+@pytest.mark.parametrize("kind", ["intersect", "disjoint", "subgroup", "sparse"])
+@given(data=st.data())
+@settings(deadline=None)
+def test_sumset_shares(kind, data):
+    # with a budget of one word every share takes many one-translate
+    # blocks; the union under the lock must lose no block, in any schedule,
+    # with more shares than cores and a short switch interval.  The caps
+    # run from the largest, so that a pool this test starts has a thread
+    # for every helper share
+    m, xs, ys = data.draw(sparse_operands() if kind == "sparse" else dense_operands(kind))
+    sa, sb = CubeSubset.from_elements(m, xs), CubeSubset.from_elements(m, ys)
+    expected = brute_sumset(m, xs, ys)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for cap in range(cube.SHARE_CAP, 0, -1):
+            with mock.patch.object(cube, "GATHER_BLOCK_WORDS", 1), \
+                    mock.patch.object(cube, "SHARE_CAP", cap), \
+                    mock.patch.object(cube, "_usable_cpus", return_value=cube.SHARE_CAP):
+                got = sumset(sa, sb)
+            assert set(got.elements()) == expected, cap
+            assert got == support(pair_counts_naive(sa, sb), m)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+class _Boom(Exception):
+    pass
+
+
+@pytest.mark.parametrize("where", ["helper", "caller"])
+def test_sumset_share_failure_reaches_the_caller(where):
+    # a share that raises stops the others, and the sum raises only once
+    # every share has ended
+    m = 9
+    small = range(0, 1 << (m - 1), 3)  # one block per element
+    # both in a subgroup: the sum never saturates
+    sa, sb = CubeSubset.from_elements(m, range(1 << (m - 1))), CubeSubset.from_elements(m, small)
+    lock = threading.Lock()
+    running, entered, blocks = [0], [0], []
+    share = cube._gather_share
+    gather = cube._or_of_translates
+
+    def counted_share(*args):
+        with lock:
+            running[0] += 1
+            entered[0] += 1
+        try:
+            share(*args)
+        finally:
+            with lock:
+                running[0] -= 1
+
+    def failing_gather(*args):
+        blocks.append(threading.current_thread() is threading.main_thread())
+        if blocks[-1] == (where == "caller") and len(blocks) > 4:
+            raise _Boom
+        return gather(*args)
+
+    with mock.patch.object(cube, "GATHER_BLOCK_WORDS", 1), \
+            mock.patch.object(cube, "_usable_cpus", return_value=cube.SHARE_CAP), \
+            mock.patch.object(cube, "_gather_share", counted_share), \
+            mock.patch.object(cube, "_or_of_translates", failing_gather):
+        with pytest.raises(_Boom):
+            sumset(sa, sb)
+    assert running[0] == 0
+    assert entered[0] == cube.SHARE_CAP
+    # the failure stopped the sum well before its last block
+    assert len(blocks) < len(small) // 2
+
+
+def test_cube_import_starts_no_thread():
+    # the share pool and concurrent.futures wait for the first sum that
+    # deals blocks to more than one share
+    src = Path(cube.__file__).resolve().parent.parent
+    probe = (
+        "import sys, threading, redblue.cube, redblue.search; "
+        "sys.exit('concurrent.futures' in sys.modules or threading.active_count() != 1)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_sumset_threads_only_with_cpus_to_share(cpus):
+    # 1,366 translates: the first block of 64, then two of 1,024 words
+    m = 12
+    sa = CubeSubset.from_elements(m, range(0, 1 << m, 3))
+    with mock.patch.object(cube, "_usable_cpus", return_value=cpus), \
+            mock.patch.object(cube, "_share_pool", wraps=cube._share_pool) as pool:
+        got = sumset(sa, sa)
+    assert pool.call_count == cpus - 1
+    assert got == support(pair_counts(sa, sa), m)
 
 
 @pytest.mark.parametrize("m", range(1, 11))
