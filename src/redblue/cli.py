@@ -62,7 +62,14 @@ from .repcheck import check_representation, coloring_header, parse_coloring
 from .sat.dimacs import formula_from_dimacs, to_dimacs
 from .sat.encode import VARIANTS, CnfFormula, all_edges_formula, build_formula
 from .sat.solve import SAT, UNKNOWN, solve
-from .search import MonteCarloResult, SplitState, TrialResult, iter_trial_csv, iter_trials
+from .search import (
+    MonteCarloResult,
+    SplitState,
+    TrialResult,
+    iter_trial_csv,
+    iter_trials,
+    trial_shares,
+)
 
 log = logging.getLogger("redblue")
 
@@ -129,9 +136,14 @@ def _search_words(p: int, q: int) -> float:
     return PARTITION_WORDS + 1 + rows + max(n + TRANSFORM_WORDS + (n + 3), 3 * rows / 8)
 
 
+def _estimate_bytes(m: int, words: float) -> int:
+    """What one process holding `words` per cube element needs."""
+    return int(words * 8 * (1 << m)) + FIXED_BYTES
+
+
 def _check_memory(args: argparse.Namespace, m: int, words: float, what: str) -> None:
     cap = getattr(args, "memory_cap_mb", None)
-    estimate_bytes = int(words * 8 * (1 << m)) + FIXED_BYTES
+    estimate_bytes = _estimate_bytes(m, words)
     if cap is not None and estimate_bytes > cap * 2**20:
         raise ResourceLimitError(
             f"{what} needs about {estimate_bytes / 2**20:.0f} MiB, "
@@ -384,7 +396,11 @@ def cmd_search(args: argparse.Namespace) -> int:
             "pass --extended to confirm"
         )
     m = 3 * args.k + 1
-    _check_memory(args, m, _search_words(args.p, args.q), f"split search at m={m}")
+    words = _search_words(args.p, args.q)
+    _check_memory(args, m, words, f"split search at m={m}")
+    shares = trial_shares(args.trials)
+    if args.memory_cap_mb is not None:  # as many shares as fit, at least one (checked above)
+        shares = min(shares, args.memory_cap_mb * 2**20 // _estimate_bytes(m, words))
     part = layer_partition(args.k)
     saved = []
 
@@ -399,7 +415,8 @@ def cmd_search(args: argparse.Namespace) -> int:
         return trial
 
     budget = args.budget if args.hill else None
-    trials = iter_trials(part, args.p, args.q, args.trials, args.seed, budget, args.anneal)
+    trials = iter_trials(part, args.p, args.q, args.trials, args.seed, budget, args.anneal,
+                         shares)
     rows = (save(trial, state) for trial, state in trials)
     result = MonteCarloResult.from_rows(part, args.p, args.q, rows)
     if args.hill:

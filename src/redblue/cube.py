@@ -30,6 +30,7 @@ here checks such colorings against any member of the family.
 from __future__ import annotations
 
 import os
+import re
 import threading
 from dataclasses import dataclass, field
 from importlib import resources
@@ -81,11 +82,16 @@ class CubeSubset:
             raise ValueError("mask has bits outside [0, 2^m)")
 
     @classmethod
-    def from_elements(cls, m: int, elements: Iterable[int]) -> "CubeSubset":
+    def from_elements(cls, m: int, elements: Iterable[int] | np.ndarray) -> "CubeSubset":
         _check_dim(m)
-        xs = list(elements)
+        if isinstance(elements, np.ndarray):
+            xs = elements
+            extremes = (xs.min(), xs.max()) if xs.size else ()
+        else:
+            xs = list(elements)
+            extremes = (min(xs, default=0), max(xs, default=0))
         # the extremes are checked before numpy sees an int beyond 64 bits
-        for x in (min(xs, default=0), max(xs, default=0)):
+        for x in extremes:
             if not 0 <= x < 1 << m:
                 raise ValueError(f"element {x} outside [0, 2^{m})")
         # dense indicator then packbits: linear, unlike 2^m-bit int updates
@@ -772,8 +778,24 @@ def write_split(coloring: GroupColoring) -> str:
     return "\n".join(lines) + "\n"
 
 
+# a color line's elements that int64 parsing takes as they are: ASCII
+# digits, at most 18 to a token, between spaces and tabs; other lines go
+# token by token through int()
+_DIGITS_AND_BLANKS = str.maketrans("", "", "0123456789 \t")
+_LONG_TOKEN = re.compile(r"[0-9]{19}")
+
+
+def _plain_elements(rest: str) -> bool:
+    # a regex for the whole line would keep a frame per token
+    return (rest.isascii() and not rest.translate(_DIGITS_AND_BLANKS)
+            and not _LONG_TOKEN.search(rest))
+
+
 def parse_split(text: str) -> GroupColoring:
-    """Parse the split text format back into a coloring."""
+    """Parse the split text format back into a coloring.
+
+    A color line of plain decimal elements is parsed into one int64 array,
+    without a token string or int object per element."""
     m, t = parse_header(text, "cube", ("m", "colors"))
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if len(lines) - 1 != t:
@@ -786,5 +808,9 @@ def parse_split(text: str) -> GroupColoring:
         if color in parts:
             raise ValueError(f"duplicate color line {name!r}")
         # element 0 is left to GroupColoring, which keeps it for the identity
-        parts[color] = CubeSubset.from_elements(m, map(int, rest.split()))
+        if _plain_elements(rest):
+            elements = np.fromstring(rest, dtype=np.int64, sep=" ")
+        else:
+            elements = map(int, rest.split())
+        parts[color] = CubeSubset.from_elements(m, elements)
     return GroupColoring(m, parts)

@@ -14,9 +14,13 @@ counts by one cached table per spec (`_rule_table`) and one comparison with
 it (`_broken`).  A report counts the rules a split breaks and names no
 element: per-element diagnostics come from the sumset verifier.
 `iter_trials` is the one trial loop, with or without repair;
-`monte_carlo` tallies it.  The transform route derives the last
-part of each layer, and the count rows of two last parts, by subtraction
-from the layers' transforms, which the split's base computed once when it
+`monte_carlo` tallies it.  It deals the trials to one share per usable
+CPU, up to `TRIAL_SHARE_CAP`: the caller runs one, worker processes the
+others (`redblue.workers`), each holding a partition and a trial of its
+own, and the rows and splits come back in trial order, the same bytes
+as from one share.  The transform route derives the last part of each
+layer, and the count rows of two last parts, by subtraction from the
+layers' transforms, which the split's base computed once when it
 was built (`cube.LayerPartition`).  The climber works on color codes; it
 scores each proposed move by one scan of its kept counts, makes an
 accepted move by writing what that scan found, and adds each tally
@@ -31,6 +35,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from time import perf_counter
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -47,6 +52,7 @@ from .cube import (
     CubeSubset,
     GroupColoring,
     LayerPartition,
+    _usable_cpus,
     embedded_split_1024,
     layer_partition,
     pair_count_rows,
@@ -123,8 +129,21 @@ class SplitState:
                              "the blue layer blue parts and the rest -1")
         labels = labels.astype(np.int8)  # a private copy, frozen below
         labels.flags.writeable = False
-        for name, value in zip(("base", "p", "q", "seed", "labels"), (base, p, q, seed, labels)):
+        self._fill(base, p, q, seed, labels)
+
+    def _fill(self, *values: object) -> None:
+        for name, value in zip(("base", "p", "q", "seed", "labels"), values):
             object.__setattr__(self, name, value)
+
+    @classmethod
+    def _of_checked(
+        cls, base: LayerPartition, p: int, q: int, seed: int, labels: np.ndarray
+    ) -> "SplitState":
+        """A split with read-only int8 `labels` that a split of the same
+        base, p and q held, so they are not checked again."""
+        state = object.__new__(cls)
+        state._fill(base, p, q, seed, labels)
+        return state
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SplitState):
@@ -685,6 +704,40 @@ class TrialResult(NamedTuple):
     solved: bool
 
 
+def run_trial(
+    part: LayerPartition,
+    spec: AlgebraSpec,
+    seed: int,
+    t: int,
+    budget: int | None = None,
+    anneal: bool = False,
+) -> tuple[TrialResult, SplitState]:
+    """Trial t of `iter_trials`: draw, repair with a `budget`, report."""
+    ts = trial_seed(seed, t)
+    state = random_split(part, spec.p, spec.q, ts)
+    if budget is not None:
+        state, _trace = hill_climb(state, spec, budget, ts, anneal=anneal)
+    report = violations(state, spec)
+    return TrialResult(t, ts, report.count, report.solved), state
+
+
+# Seconds of trials a process runs alone before it deals them to workers:
+# a constant tuned on one host, about twice what a worker took to start
+# on a 2-core Xeon, so that a search shorter than a start-up does not pay
+# for one.  `_spent` counts across runs, so a process of many short runs
+# deals from the run that passes it on.
+START_AFTER_S = 0.5
+_spent = 0.0  # seconds this process has run trials alone with CPUs to spare
+# at most this many trial shares, each holding a partition and a trial
+TRIAL_SHARE_CAP = 8
+
+
+def trial_shares(trials: int) -> int:
+    """How many shares `iter_trials` deals `trials` trials to: one per
+    usable CPU up to TRIAL_SHARE_CAP, and at most one per trial."""
+    return min(_usable_cpus(), TRIAL_SHARE_CAP, trials)
+
+
 def iter_trials(
     part: LayerPartition,
     p: int,
@@ -693,6 +746,7 @@ def iter_trials(
     seed: int,
     budget: int | None = None,
     anneal: bool = False,
+    shares: int | None = None,
 ) -> Iterator[tuple[TrialResult, SplitState]]:
     """Run `trials` trials, yielding each result row with its final split.
 
@@ -700,17 +754,40 @@ def iter_trials(
     are independent of execution order and identical across platforms.
     With a `budget`, each split is first repaired by `hill_climb` under the
     same seed.  A trial is solved when `violations` finds nothing.
+
+    The trials are dealt to `trial_shares(trials)` shares, or `shares`
+    if fewer: the caller runs one, and worker processes the others
+    (`redblue.workers`), each with `part` as given.  Rows and splits come
+    back in trial order, the same as from one share; each share holds a
+    trial's memory of its own.  A process deals trials only once it has
+    run them for `START_AFTER_S`.  The trials each share ran go to the
+    `redblue.search` log at INFO.
     """
+    global _spent
     if trials < 1:
         raise ValueError("trials >= 1 required")
+    if shares is not None and shares < 1:
+        raise ValueError("shares >= 1 required")
     spec = AlgebraSpec(p, q)
-    for t in range(trials):
-        ts = trial_seed(seed, t)
-        state = random_split(part, p, q, ts)
-        if budget is not None:
-            state, _trace = hill_climb(state, spec, budget, ts, anneal=anneal)
-        report = violations(state, spec)
-        yield TrialResult(t, ts, report.count, report.solved), state
+    shares = min(trial_shares(trials), shares or trials)
+    t = 0
+    while t < trials and (shares == 1 or _spent < START_AFTER_S):
+        start = perf_counter()
+        result = run_trial(part, spec, seed, t, budget, anneal)
+        if shares > 1:
+            _spent += perf_counter() - start
+        yield result
+        t += 1
+    ran = [t]
+    if t < trials:
+        from . import workers  # loaded by a process's first dealt run only
+
+        dealt = yield from workers.deal(part, spec, seed, budget, anneal, t, trials, shares)
+        ran = [t + dealt[0], *dealt[1:]]
+    import logging  # paid by a finished run, not by importing this module
+
+    logging.getLogger(__name__).info(
+        "%d trials ran in %d share(s): %s", trials, len(ran), ", ".join(map(str, ran)))
 
 
 @dataclass(frozen=True)

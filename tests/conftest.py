@@ -1,11 +1,15 @@
-"""Shared fixtures: CDCL solver discovery and reusable layer partitions."""
+"""Shared fixtures: CDCL solver discovery, reusable layer partitions, a
+fresh trial clock for each test, and a check that the session leaves no
+child process behind."""
 
 import os
 import shutil
+import sys
 from pathlib import Path
 
 import pytest
 
+from redblue import search
 from redblue.cube import LayerPartition, layer_partition
 
 _SOLVER_CANDIDATES = (
@@ -71,3 +75,32 @@ def part4() -> LayerPartition:
 @pytest.fixture(scope="session")
 def part5() -> LayerPartition:
     return layer_partition(5)
+
+
+def child_alive() -> bool:
+    """Whether a child process of this one is still running; reaps those
+    that have ended."""
+    try:
+        while os.waitpid(-1, os.WNOHANG)[0]:
+            pass
+    except ChildProcessError:  # no child left
+        return False
+    return True  # waitpid found children, none of them ended
+
+
+@pytest.fixture(autouse=True)
+def trials_start_alone(monkeypatch):
+    """Each test's searches start as a fresh process's would, running
+    their first `START_AFTER_S` of trials alone, whatever tests ran before."""
+    monkeypatch.setattr(search, "_spent", 0.0)
+
+
+@pytest.fixture(scope="session", autouse=True)
+def no_process_left():
+    """Stop the trial workers at the session's end, then fail if any child
+    process is still alive: a run that leaves one behind is a fault."""
+    yield
+    workers = sys.modules.get("redblue.workers")
+    if workers is not None:
+        workers.shutdown()
+    assert not child_alive(), "a child process outlived the test session"

@@ -3,12 +3,13 @@
 import argparse
 import json
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import pytest
 
 from redblue.algebra import ALGEBRA_ONE_BLUE, blue, red
-from redblue import cli, cube
+from redblue import cli, cube, search
 from redblue.cli import main
 from redblue.cube import ResourceLimitError, parse_split
 from redblue.repcheck import EdgeColoring, write_coloring
@@ -105,6 +106,37 @@ def test_witnesses_memory_cap(capsys):
     assert code == 3
 
 
+def test_search_logs_its_trial_shares(capsys, tmp_path):
+    # the share count follows the machine, so it stays out of stdout
+    log = tmp_path / "run.log"
+    code, out = run(capsys, "search", "--k", "2", "--trials", "5", "--log", str(log),
+                    "--format", "json")
+    assert code == 0 and "share" not in out
+    (line,) = [line for line in log.read_text().splitlines() if "share(s)" in line]
+    assert " INFO 5 trials ran in " in line
+
+
+@pytest.mark.parametrize("cpus", [3, 64])
+def test_memory_cap_limits_the_trial_shares(capsys, monkeypatch, cpus):
+    # a cap with room for two k = 5 shares, not three, runs two; a cap
+    # below one share refuses the run; with no cap the usable CPUs, up to
+    # TRIAL_SHARE_CAP, decide.  No trial is dealt, so no process starts.
+    share = cli._search_words(1, 2) * 8 * (1 << 16) + cli.FIXED_BYTES
+    monkeypatch.setattr(search, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(search, "START_AFTER_S", float("inf"))
+    with mock.patch.object(cli, "iter_trials", wraps=search.iter_trials) as trials:
+        for cap, code, shares in ((2.5, 0, 2), (0.9, 3, None),
+                                  (None, 0, min(cpus, search.TRIAL_SHARE_CAP))):
+            cap_args = [] if cap is None else ["--memory-cap-mb", str(int(cap * share / 2**20))]
+            argv = ["search", "--k", "5", "--trials", "9", *cap_args]
+            assert run(capsys, *argv)[0] == code
+            if shares is not None:
+                assert trials.call_args.args[-1] == shares
+            else:
+                assert not trials.called
+            trials.reset_mock()
+
+
 @pytest.mark.parametrize("k", [2, 4, 5])
 @pytest.mark.parametrize("command", ["witnesses", "1,2", "1,2,hill", "1,3,hill", "2,2,hill", "3,3,hill"])
 def test_memory_estimate_covers_traced_peak(capsys, k, command):
@@ -118,8 +150,10 @@ def test_memory_estimate_covers_traced_peak(capsys, k, command):
             argv += ["--hill", "--budget", "200"]
         words = cli._search_words(int(p), int(q))
     # every sum with blocks to deal deals them to SHARE_CAP shares, each with
-    # its own gather blocks; tracemalloc traces the helper threads too
+    # its own gather blocks; tracemalloc traces the helper threads too, but
+    # not worker processes, so the trials run in one share
     with mock.patch.object(cube, "_usable_cpus", return_value=cube.SHARE_CAP), \
+            mock.patch.object(search, "_usable_cpus", return_value=1), \
             mock.patch.object(cube, "_share_pool", wraps=cube._share_pool) as helpers:
         tracemalloc.start()
         try:
@@ -253,6 +287,24 @@ def test_search_random_saves_every_solved_split(capsys, tmp_path):
     for path in saved:
         code, out = run(capsys, "check-rep", path)
         assert code == 0 and "verdict: PASS" in out
+
+
+def test_parse_split_peak_on_a_k5_saved_split(capsys, tmp_path):
+    # 58,651 red elements: a token string and an int per element took
+    # 6.21 MiB; one int64 array per color line takes 1.33 MiB
+    out_dir = tmp_path / "solved"
+    code, payload = run_json(capsys, "search", "--k", "5", "--trials", "3", "--seed", "1",
+                             "--save-solved", str(out_dir))
+    assert code == 0 and payload["saved_splits"]
+    text = Path(payload["saved_splits"][0]).read_text()
+    tracemalloc.start()
+    try:
+        parsed = parse_split(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+    assert cube.write_split(parsed) == text
 
 
 def test_search_saves_nothing_when_nothing_solves(capsys, tmp_path):
