@@ -26,7 +26,7 @@ from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 from pathlib import Path
 
-from . import __version__
+from . import __version__, cube
 from .algebra import (
     ALGEBRA_ONE_BLUE,
     ALGEBRA_TWO_BLUE,
@@ -61,7 +61,7 @@ from .cube import (
 from .repcheck import check_representation, coloring_header, parse_coloring
 from .sat.dimacs import formula_from_dimacs, to_dimacs
 from .sat.encode import VARIANTS, CnfFormula, all_edges_formula, build_formula
-from .sat.solve import SAT, UNKNOWN, solve
+from .sat.solve import SAT, UNKNOWN, default_solver, solve
 from .search import (
     MonteCarloResult,
     SplitState,
@@ -540,7 +540,7 @@ def cmd_check_rep(args: argparse.Namespace) -> int:
 
 
 def _build_cli_formula(args: argparse.Namespace) -> CnfFormula:
-    spec = AlgebraSpec(args.p, args.q)
+    spec = AlgebraSpec(1, args.q)  # encodings are defined for one red only
     if args.variant == "all-edges":
         return all_edges_formula(args.points, spec)
     return build_formula(args.points, args.variant, spec, k6=args.k6)
@@ -639,9 +639,12 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         log.info("encoded %s (%d vars, %d clauses)", path, formula.num_vars, formula.num_clauses)
         instances.append((v, formula))
 
+    # in-process rungs share one interpreter: only an external solver runs them side by side
+    solver = args.solver or default_solver()
+
     def run_one(item):
         v, formula = item
-        outcome = solve(formula, solver=args.solver, timeout=args.timeout)
+        outcome = solve(formula, solver=solver, timeout=args.timeout)
         log_path = out_dir / f"lb-V{v:02d}-{args.variant}.log"
         record = (
             f"{_now_iso()} V={v} variant={args.variant} solver={outcome.solver} "
@@ -658,7 +661,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
             fh.write(record + "\n")
         return v, outcome
 
-    workers = max(1, min(args.threads, len(instances)))
+    workers = min(cube.usable_cpus(), len(instances)) if solver else 1
     with ThreadPoolExecutor(max_workers=workers) as pool:
         outcomes = list(pool.map(run_one, instances))
     outcomes.sort()
@@ -724,11 +727,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     # flags only some commands read, each defined once
     seed = _flag("--seed", type=int, default=0, help="base seed for randomized work")
-    threads = _flag(
-        "--threads", type=int, default=1,
-        help="cap on worker threads; only external solvers run in parallel, "
-        "in-process solves share one interpreter",
-    )
     memory = _flag(
         "--memory-cap-mb", type=int, default=None, metavar="MIB",
         help="refuse work estimated above this many MiB",
@@ -827,7 +825,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--variant", choices=VARIANTS + ("all-edges",), default="basic"
     )
-    p.add_argument("--p", type=int, default=1, help="red color count")
     p.add_argument("--q", type=int, default=2, help="blue color count")
     p.set_defaults(func=cmd_encode)
 
@@ -842,7 +839,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser(
-        "pipeline", parents=[common, threads, extended, k6, solver, timeout],
+        "pipeline", parents=[common, extended, k6, solver, timeout],
         help="encode and solve a range of lower-bound instances, persisting artifacts",
     )
     p.add_argument("--from", dest="v_from", type=int, required=True, metavar="V")
@@ -860,6 +857,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _setup_logging(args: argparse.Namespace) -> None:
     log.setLevel(logging.DEBUG)
+    for handler in log.handlers:
+        handler.close()
     log.handlers.clear()
     console = logging.StreamHandler(sys.stderr)
     console.setLevel(getattr(logging, args.log_level.upper()))

@@ -9,9 +9,9 @@ bits moved by every in-word position, gathers the word translates from it
 with numpy, and stops as soon as it holds every element a sumset of the
 two can hold.  The caller gathers a short first block alone, where dense
 sums stop, and deals the other blocks to up to `SHARE_CAP` shares, one per
-usable CPU, on threads started by the first sum that needs them.  The
-verifier uses only this route, so it stays independent of the counts
-below.  Witness counting
+usable CPU, on threads started by each process's first sum that needs
+them.  The verifier uses only this route, so it stays independent of the
+counts below.  Witness counting
 (how many ordered pairs (x, y) in X x Y satisfy x XOR y = z) has two
 independent implementations: a vectorized naive enumeration, and the
 Walsh-Hadamard transform route, which diagonalizes XOR convolution.  Their
@@ -270,23 +270,24 @@ def _gather_share(
         raise
 
 
-_pool = None
+_pool = (None, None)  # (pid, threads): a forked child has the pool but not its threads
 _pool_lock = threading.Lock()
 
 
 def _share_pool():
-    """The threads that run the helper shares of every sum, started by the
-    first sum that deals its blocks to more than one share."""
+    """The threads that run the helper shares of every sum, started in each
+    process by its first sum that deals blocks to more than one share."""
     global _pool
     with _pool_lock:
-        if _pool is None:
+        if _pool[0] != os.getpid():
             from concurrent.futures import ThreadPoolExecutor
 
-            _pool = ThreadPoolExecutor(SHARE_CAP - 1, thread_name_prefix="redblue-sumset")
-        return _pool
+            threads = ThreadPoolExecutor(SHARE_CAP - 1, thread_name_prefix="redblue-sumset")
+            _pool = (os.getpid(), threads)
+        return _pool[1]
 
 
-def _usable_cpus() -> int:
+def usable_cpus() -> int:
     """How many CPUs this process may run on."""
     try:
         return len(os.sched_getaffinity(0))
@@ -317,14 +318,14 @@ def sumset(x: CubeSubset, y: CubeSubset) -> CubeSubset:
 
     The caller gathers the first block alone.  It deals the blocks left
     round-robin to min(usable CPUs, `SHARE_CAP`, blocks left) shares,
-    runs share 0 itself and the others on a pool of threads started by
-    the first sum that needs one; numpy releases the interpreter lock
-    while it gathers.  Each share ORs its blocks into one union under a
-    lock, and every share stops once the union is the largest possible
-    sumset.  OR is order-free, so the result is the same in any schedule.
-    With one usable CPU, or one block left, the caller gathers every block
-    and no thread starts.  An exception in any share stops the others at
-    their next block and is raised once every share has ended.
+    runs share 0 itself and the others on the pool of threads its process
+    starts in the first sum that needs one; numpy releases the GIL while
+    it gathers.  Each share ORs its blocks into one union under a lock,
+    and every share stops once the union is the largest possible sumset.
+    OR is order-free, so the result is the same in any schedule.  With one
+    usable CPU, or one block left, the caller gathers every block and no
+    thread starts.  An exception in any share stops the others at their
+    next block and is raised once every share has ended.
 
     The table holds one 64-bit word per cube element: 512 KiB at m = 16,
     32 MiB at m = 22 and 128 MiB at m = 24.  Each share holds an index
@@ -350,7 +351,7 @@ def sumset(x: CubeSubset, y: CubeSubset) -> CubeSubset:
     caller_blocks = _gather_blocks(rows, nwords)
     union.add(_or_of_translates(flat, idx, offsets[:first], *caller_blocks))
     left = -(-(len(offsets) - first) // rows)
-    shares = 1 if union.stop or left <= 1 else min(_usable_cpus(), SHARE_CAP, left)
+    shares = 1 if union.stop or left <= 1 else min(usable_cpus(), SHARE_CAP, left)
     starts = [range(first + s * rows, len(offsets), shares * rows) for s in range(shares)]
     futures = [
         _share_pool().submit(_gather_share, flat, idx, offsets, starts[s], rows, union,

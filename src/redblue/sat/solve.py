@@ -6,8 +6,8 @@ process through `cdcl.solve_checked`: an UNSAT verdict stands only once
 log.  Each lemma in that log names the clauses (input clause i has ID
 i + 1, lemmas follow) that derive it by unit propagation, and the checker
 walks exactly those, reading nothing else of the formula; a log it rejects
-gives UNKNOWN.  The forward RUP replay `check_rup` is kept as the tests'
-reference and for logs without hints.
+gives UNKNOWN.  The forward RUP replay `check_rup` is the tests' reference
+only: no code path here checks a log without hints.
 
 The external bridge runs `<solver> <file.cnf>` and reads SAT-competition
 output (`s SATISFIABLE` / `s UNSATISFIABLE`, `v` literal lines; exit codes

@@ -52,7 +52,6 @@ from .cube import (
     CubeSubset,
     GroupColoring,
     LayerPartition,
-    _usable_cpus,
     embedded_split_1024,
     layer_partition,
     pair_count_rows,
@@ -735,7 +734,7 @@ TRIAL_SHARE_CAP = 8
 def trial_shares(trials: int) -> int:
     """How many shares `iter_trials` deals `trials` trials to: one per
     usable CPU up to TRIAL_SHARE_CAP, and at most one per trial."""
-    return min(_usable_cpus(), TRIAL_SHARE_CAP, trials)
+    return min(cube.usable_cpus(), TRIAL_SHARE_CAP, trials)
 
 
 def iter_trials(

@@ -200,7 +200,7 @@ def _take(n: int) -> list[_Worker]:
             _idle.clear()
         got = _idle[:n]
         del _idle[:n]
-        most = min(search._usable_cpus(), search.TRIAL_SHARE_CAP) - 1
+        most = search.trial_shares(search.TRIAL_SHARE_CAP) - 1
         while len(got) < n and not _failed and len(_started) < most:
             try:
                 worker = _Worker()

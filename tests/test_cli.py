@@ -122,7 +122,7 @@ def test_memory_cap_limits_the_trial_shares(capsys, monkeypatch, cpus):
     # below one share refuses the run; with no cap the usable CPUs, up to
     # TRIAL_SHARE_CAP, decide.  No trial is dealt, so no process starts.
     share = cli._search_words(1, 2) * 8 * (1 << 16) + cli.FIXED_BYTES
-    monkeypatch.setattr(search, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(cube, "usable_cpus", lambda: cpus)
     monkeypatch.setattr(search, "START_AFTER_S", float("inf"))
     with mock.patch.object(cli, "iter_trials", wraps=search.iter_trials) as trials:
         for cap, code, shares in ((2.5, 0, 2), (0.9, 3, None),
@@ -152,8 +152,8 @@ def test_memory_estimate_covers_traced_peak(capsys, k, command):
     # every sum with blocks to deal deals them to SHARE_CAP shares, each with
     # its own gather blocks; tracemalloc traces the helper threads too, but
     # not worker processes, so the trials run in one share
-    with mock.patch.object(cube, "_usable_cpus", return_value=cube.SHARE_CAP), \
-            mock.patch.object(search, "_usable_cpus", return_value=1), \
+    with mock.patch.object(cube, "usable_cpus", return_value=cube.SHARE_CAP), \
+            mock.patch.object(search, "TRIAL_SHARE_CAP", 1), \
             mock.patch.object(cube, "_share_pool", wraps=cube._share_pool) as helpers:
         tracemalloc.start()
         try:
@@ -444,6 +444,8 @@ def test_encode_writes_self_describing_file(capsys, tmp_path):
 def test_encode_usage_errors(capsys):
     assert run(capsys, "encode", "--points", "2")[0] == 2
     assert run(capsys, "encode", "--points", "9", "--variant", "basic")[0] == 2
+    # encodings take one red color, so encode has no red count to set
+    assert "p" not in vars(cli.build_parser().parse_args(["encode", "--points", "10"]))
 
 
 def test_solve_builtin_round_trip(capsys, tmp_path, monkeypatch):
@@ -554,13 +556,46 @@ def test_pipeline_artifacts(capsys, tmp_path, solver):
     assert summary == "points,variant,status\n10,basic,UNSAT\n11,basic,UNSAT\n"
     assert (out_dir / "lb-V10-basic.cnf").exists()
     assert "status=UNSAT" in (out_dir / "lb-V10-basic.log").read_text()
-    # rerun with threads; the deterministic artifact is byte-identical
+    # rerun with two usable CPUs, two rungs side by side; the deterministic
+    # artifact is byte-identical
     first = (out_dir / "summary.csv").read_bytes()
-    run(
-        capsys, "pipeline", "--from", "10", "--to", "11",
-        "--solver", solver, "--out-dir", str(out_dir), "--threads", "2",
-    )
+    with mock.patch.object(cube, "usable_cpus", return_value=2):
+        run(
+            capsys, "pipeline", "--from", "10", "--to", "11",
+            "--solver", solver, "--out-dir", str(out_dir),
+        )
     assert (out_dir / "summary.csv").read_bytes() == first
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_pipeline_threads_follow_the_solver_and_cpus(capsys, tmp_path, monkeypatch, cpus):
+    # in-process rungs share one interpreter and run one at a time; an
+    # external solver's rungs get one thread per usable CPU, at most one
+    # per rung.  The spy's pool runs nothing, so no rung is solved.
+    sizes = []
+
+    class Spy(cli.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers)
+
+        def map(self, fn, items):
+            return iter(())
+
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", Spy)
+    monkeypatch.setattr(cube, "usable_cpus", lambda: cpus)
+    monkeypatch.delenv(SOLVER_ENV_VAR, raising=False)
+    base = ("pipeline", "--from", "10", "--to", "11", "--out-dir", str(tmp_path))
+    assert run(capsys, *base)[0] == 0
+    assert run(capsys, *base, "--solver", "/no/such/solver")[0] == 0
+    monkeypatch.setenv(SOLVER_ENV_VAR, "sh")
+    assert run(capsys, *base)[0] == 0
+    assert sizes == [1, min(cpus, 2), min(cpus, 2)]
+    # a REDBLUE_SOLVER that cannot run fails once the CNF files are written
+    monkeypatch.setenv(SOLVER_ENV_VAR, str(tmp_path / "gone"))
+    (tmp_path / "lb-V11-basic.cnf").unlink()
+    assert run(capsys, *base)[0] == 3
+    assert (tmp_path / "lb-V11-basic.cnf").exists() and len(sizes) == 3
 
 
 def test_pipeline_expect_mismatch(capsys, tmp_path, solver):
@@ -596,7 +631,8 @@ def test_log_file_records_run(capsys, tmp_path):
     [
         ["verify-1024", "--seed", "1"],
         ["verify-1024", "--out", "x.txt"],
-        ["witnesses", "--k", "1", "--threads", "2"],
+        ["witnesses", "--k", "1", "--seed", "1"],
+        ["pipeline", "--from", "10", "--to", "10", "--threads", "2"],
         ["bounds", "--n", "2", "--extended"],
         ["solve", "--cnf", "x.cnf", "--memory-cap-mb", "1"],
     ],

@@ -246,7 +246,7 @@ def test_sumset_shares(kind, data):
         for cap in range(cube.SHARE_CAP, 0, -1):
             with mock.patch.object(cube, "GATHER_BLOCK_WORDS", 1), \
                     mock.patch.object(cube, "SHARE_CAP", cap), \
-                    mock.patch.object(cube, "_usable_cpus", return_value=cube.SHARE_CAP):
+                    mock.patch.object(cube, "usable_cpus", return_value=cube.SHARE_CAP):
                 got = sumset(sa, sb)
             assert set(got.elements()) == expected, cap
             assert got == support(pair_counts_naive(sa, sb), m)
@@ -289,7 +289,7 @@ def test_sumset_share_failure_reaches_the_caller(where):
         return gather(*args)
 
     with mock.patch.object(cube, "GATHER_BLOCK_WORDS", 1), \
-            mock.patch.object(cube, "_usable_cpus", return_value=cube.SHARE_CAP), \
+            mock.patch.object(cube, "usable_cpus", return_value=cube.SHARE_CAP), \
             mock.patch.object(cube, "_gather_share", counted_share), \
             mock.patch.object(cube, "_or_of_translates", failing_gather):
         with pytest.raises(_Boom):
@@ -329,7 +329,7 @@ def test_sumset_threads_only_with_cpus_to_share(cpus):
     # 1,366 translates: the first block of 64, then two of 1,024 words
     m = 12
     sa = CubeSubset.from_elements(m, range(0, 1 << m, 3))
-    with mock.patch.object(cube, "_usable_cpus", return_value=cpus), \
+    with mock.patch.object(cube, "usable_cpus", return_value=cpus), \
             mock.patch.object(cube, "_share_pool", wraps=cube._share_pool) as pool:
         got = sumset(sa, sa)
     assert pool.call_count == cpus - 1

@@ -546,7 +546,7 @@ def test_trial_loop_transform_count(part2, part3, monkeypatch):
     monkeypatch.setattr(search, "walsh_hadamard", counted)
     monkeypatch.setattr(cube, "walsh_hadamard", counted)
     # one trial share: trials dealt to worker processes are not counted here
-    monkeypatch.setattr(search, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(cube, "usable_cpus", lambda: 1)
     trials = 7
     monte_carlo(part2, 1, 2, trials, 3)
     assert len(calls) == 2 * trials

@@ -6,6 +6,7 @@ import re
 import signal
 import subprocess
 import sys
+import textwrap
 import threading
 import time
 from pathlib import Path
@@ -14,7 +15,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from redblue import search, workers
+from redblue import cube, search, workers
 from redblue.cube import LayerPartition
 from redblue.search import iter_trials, monte_carlo
 
@@ -45,13 +46,13 @@ def _ready(n):
 @pytest.fixture
 def dealt(monkeypatch):
     """Three trial shares, both workers started up."""
-    monkeypatch.setattr(search, "_usable_cpus", lambda: SHARES)
+    monkeypatch.setattr(cube, "usable_cpus", lambda: SHARES)
     monkeypatch.setattr(search, "START_AFTER_S", 0.0)
     return _ready(SHARES - 1)
 
 
 def _one_share(*args, **kwargs):
-    with mock.patch.object(search, "_usable_cpus", return_value=1):
+    with mock.patch.object(cube, "usable_cpus", return_value=1):
         return list(iter_trials(*args, **kwargs))
 
 
@@ -92,9 +93,9 @@ def test_dealt_run_longer_than_its_window(dealt, part2, caplog):
 def test_one_cpu_one_trial_or_one_share_starts_no_process(part2):
     with mock.patch.object(workers, "deal", side_effect=AssertionError("trials dealt")), \
             mock.patch.object(subprocess, "Popen", side_effect=AssertionError("process started")):
-        with mock.patch.object(search, "_usable_cpus", return_value=1):
+        with mock.patch.object(cube, "usable_cpus", return_value=1):
             monte_carlo(part2, 1, 2, 5, 1)
-        with mock.patch.object(search, "_usable_cpus", return_value=SHARES), \
+        with mock.patch.object(cube, "usable_cpus", return_value=SHARES), \
                 mock.patch.object(search, "START_AFTER_S", 0.0):
             monte_carlo(part2, 1, 2, 1, 1)
             list(iter_trials(part2, 1, 2, 5, 1, shares=1))  # as a memory cap may ask
@@ -105,7 +106,7 @@ def test_one_cpu_one_trial_or_one_share_starts_no_process(part2):
 def test_trials_are_dealt_once_they_have_run_a_while(part2, monkeypatch):
     # a process whose trials have taken less than START_AFTER_S so far
     # runs them alone and starts no worker
-    monkeypatch.setattr(search, "_usable_cpus", lambda: SHARES)
+    monkeypatch.setattr(cube, "usable_cpus", lambda: SHARES)
     with mock.patch.object(workers, "deal", wraps=workers.deal) as deal:
         monte_carlo(part2, 1, 2, 20, 1)
         assert not deal.called and 0 < search._spent < search.START_AFTER_S
@@ -176,7 +177,7 @@ def test_closing_early_stops_every_share(dealt, part4):
 def test_trial_shares_are_capped(monkeypatch):
     # a 64-CPU host deals to TRIAL_SHARE_CAP shares and starts one worker
     # fewer; the stand-in workers start no process
-    monkeypatch.setattr(search, "_usable_cpus", lambda: 64)
+    monkeypatch.setattr(cube, "usable_cpus", lambda: 64)
     monkeypatch.setattr(workers, "_Worker", object)
     monkeypatch.setattr(workers, "_failed", False)
     for name in ("_started", "_idle"):
@@ -233,10 +234,10 @@ def test_unguarded_script_deals_trials(tmp_path, part3):
     script.write_text(
         "import logging, os, sys\n"
         f"sys.path.insert(0, {str(SRC)!r})\n"
-        "from redblue import search, workers\n"
+        "from redblue import cube, search, workers\n"
         "from redblue.cube import layer_partition\n"
         "logging.basicConfig(stream=sys.stderr, level=logging.INFO, format='%(message)s')\n"
-        "search._usable_cpus = lambda: 2\n"
+        "cube.usable_cpus = lambda: 2\n"
         "search.START_AFTER_S = 0.0\n"
         "part = layer_partition(3)\n"
         "first = search.monte_carlo(part, 1, 2, 30, 5)\n"
@@ -255,3 +256,60 @@ def test_unguarded_script_deals_trials(tmp_path, part3):
     assert worker > 0
     want = [row.violations for row in monte_carlo(part3, 1, 2, 30, 5).rows]
     assert proc.stdout == f"{want}\n"
+
+
+def test_forked_child_sums_and_deals_its_own(tmp_path):
+    # a child forked after a dealt sum and a dealt trial loop (as a
+    # multiprocessing pool forks on Linux) has the parent's sumset pool
+    # and trial workers but none of their threads or pipes: it starts its
+    # own, gets the parent's results and exits, and the parent's worker
+    # still serves the parent afterwards
+    script = tmp_path / "forks.py"
+    script.write_text(textwrap.dedent(f"""\
+        import logging, os, signal, sys, time
+        sys.path.insert(0, {str(SRC)!r})
+        from redblue import cube, search, workers
+        from redblue.cube import CubeSubset, layer_partition, sumset
+
+        class Lines(logging.Handler):
+            def emit(self, record):
+                lines.append(record.getMessage())
+
+        lines, pools = [], []
+        logging.getLogger("redblue.search").addHandler(Lines())
+        logging.getLogger("redblue.search").setLevel(logging.INFO)
+        share_pool = cube._share_pool
+        cube._share_pool = lambda: pools.append(os.getpid()) or share_pool()
+        cube.usable_cpus = lambda: 2
+        search.START_AFTER_S = 0.0
+        sa = CubeSubset.from_elements(12, range(0, 1 << 12, 3))
+        whole = sumset(sa, sa)
+        part = layer_partition(2)
+        first = search.monte_carlo(part, 1, 2, 20, 5)
+        (worker,) = workers._started
+        while not worker.ready:
+            worker.ready = worker.chan.recv() == ("ready",) or workers._wait([worker.chan])
+        assert pools == [os.getpid()]
+        pid = os.fork()
+        if pid == 0:
+            ok = sumset(sa, sa) == whole and search.monte_carlo(part, 1, 2, 20, 5) == first
+            ok = ok and pools[-1] == os.getpid() and worker not in workers._started
+            workers.shutdown()
+            os._exit(0 if ok else 1)
+        deadline = time.monotonic() + 60
+        while not (ended := os.waitpid(pid, os.WNOHANG))[0]:
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                sys.exit("the forked child was still running after 60 s")
+            time.sleep(0.05)
+        assert os.waitstatus_to_exitcode(ended[1]) == 0, "the forked child failed"
+        assert sumset(sa, sa) == whole and search.monte_carlo(part, 1, 2, 20, 5) == first
+        assert workers._started == [worker] and worker.proc.poll() is None
+        print(lines[-1])
+        """))
+    proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    caller, served = map(int, proc.stdout.split(": ")[1].split(", "))
+    assert caller + served == 20 and served > 0
