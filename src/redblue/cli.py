@@ -129,11 +129,12 @@ def _search_words(p: int, q: int) -> float:
     the rows are computed, or three bool vectors per row while they are
     judged.  A climb that recounts its rows holds the transforms beside a
     tally (three), one reach per movable layer (at most n - 1, at most
-    two), labels and members (one) and the layers' elements (one): at
-    most n + 3 words more."""
+    two), labels and members (one), the layers' elements (one) and the
+    tally's broken-position mask (one byte, 1/8 word): at most n + 3.125
+    words more."""
     n = p + q
     rows = n * (n + 1) // 2
-    return PARTITION_WORDS + 1 + rows + max(n + TRANSFORM_WORDS + (n + 3), 3 * rows / 8)
+    return PARTITION_WORDS + 1 + rows + max(n + TRANSFORM_WORDS + (n + 3.125), 3 * rows / 8)
 
 
 def _estimate_bytes(m: int, words: float) -> int:
@@ -748,8 +749,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     timeout = _flag("--timeout", type=float, default=3600.0, help="seconds per instance")
 
+    # no flag is taken by a prefix of its name, here or in any command
     parser = argparse.ArgumentParser(
-        prog="redblue",
+        prog="redblue", allow_abbrev=False,
         description=(
             "Representations of the one-red/n-blue relation algebra family: "
             "cube verification, witness counting, size bounds, randomized "
@@ -762,7 +764,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True, metavar="COMMAND")
 
     p = sub.add_parser(
-        "verify-1024", parents=[common],
+        "verify-1024", allow_abbrev=False, parents=[common],
         help="verify the embedded 1024-point coloring, optionally mutated",
     )
     p.add_argument(
@@ -772,14 +774,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify_1024)
 
     p = sub.add_parser(
-        "witnesses", parents=[common, memory],
+        "witnesses", allow_abbrev=False, parents=[common, memory],
         help="minimum witness multiplicities of the layer partition vs the 2^k floor",
     )
     p.add_argument("--k", type=int, required=True, help="layer parameter (m = 3k+1)")
     p.set_defaults(func=cmd_witnesses)
 
     p = sub.add_parser(
-        "bounds", parents=[common, out],
+        "bounds", allow_abbrev=False, parents=[common, out],
         help="lower/upper bounds on representation size and union-bound evaluations",
     )
     p.add_argument("--n", type=int, default=None, help="blue color count")
@@ -793,7 +795,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser(
-        "search", parents=[common, seed, memory, out, extended],
+        "search", allow_abbrev=False, parents=[common, seed, memory, out, extended],
         help="random splits of the layer partition, optionally with local-search repair",
     )
     p.add_argument("--k", type=int, required=True, help="layer parameter (m = 3k+1)")
@@ -810,7 +812,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser(
-        "check-rep", parents=[common],
+        "check-rep", allow_abbrev=False, parents=[common],
         help="check a coloring file (kn or cube split format) against the algebra",
     )
     p.add_argument("file", help="coloring file path")
@@ -819,7 +821,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_check_rep)
 
     p = sub.add_parser(
-        "encode", parents=[common, out, k6], help="emit a DIMACS instance"
+        "encode", allow_abbrev=False, parents=[common, out, k6], help="emit a DIMACS instance"
     )
     p.add_argument("--points", type=int, required=True)
     p.add_argument(
@@ -829,7 +831,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_encode)
 
     p = sub.add_parser(
-        "solve", parents=[common, solver, timeout], help="decide a DIMACS instance and certify the result"
+        "solve", allow_abbrev=False, parents=[common, solver, timeout],
+        help="decide a DIMACS instance and certify the result",
     )
     p.add_argument("--cnf", required=True, metavar="FILE")
     p.add_argument(
@@ -839,7 +842,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser(
-        "pipeline", parents=[common, extended, k6, solver, timeout],
+        "pipeline", allow_abbrev=False, parents=[common, extended, k6, solver, timeout],
         help="encode and solve a range of lower-bound instances, persisting artifacts",
     )
     p.add_argument("--from", dest="v_from", type=int, required=True, metavar="V")

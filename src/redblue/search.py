@@ -24,10 +24,11 @@ layers' transforms, which the split's base computed once when it
 was built (`cube.LayerPartition`).  The climber works on color codes; it
 scores each proposed move by one scan of its kept counts, makes an
 accepted move by writing what that scan found, and adds each tally
-entry it writes to the reaches the pool of elements to move is read
-from.  A count row whose kept lower bound shows it cannot cross zero is
-neither scanned nor written; the climb takes transforms beyond its
-set-up's counts only to recount the rows when such a bound falls to 2.
+entry it changes to the reaches and to the mask of broken positions
+that the pool of elements to move is read from.  A count row whose kept
+lower bound shows it cannot cross zero is neither scanned nor written;
+the climb takes transforms beyond its set-up's counts only to recount
+the rows when such a bound falls to 2.
 """
 
 from __future__ import annotations
@@ -377,8 +378,8 @@ class _Move(NamedTuple):
     count row the move touches, the color d whose elements it steps at
     e XOR D, those positions and their counts before the move (None for a
     row `propose` skipped, which may leave the positions uncomputed too)
-    and the step they take; the tally changes where a count crosses zero;
-    and e's own tally under `new`."""
+    and the step they take; and the tally changes where a count crosses
+    zero, for the crossings that change some tally entry."""
 
     e: int
     old: int
@@ -388,7 +389,6 @@ class _Move(NamedTuple):
     # (count row, d, positions or None, counts or None, step)
     rows: list[tuple[int, int, np.ndarray | None, np.ndarray | None, int]]
     crossed: list[tuple[int, np.ndarray, np.ndarray]]  # (tally row, positions, changes)
-    own: np.ndarray
 
 
 # no step of one move takes a count above this to 0
@@ -415,9 +415,11 @@ class _ClimbEngine:
     color a to color b changes row {a, d} and row {b, d} only at e XOR D,
     for each color d with elements D; only the positions where such a
     count crosses zero are re-judged, by the `leave_zero` column of the
-    spec's `_rule_table`, and e itself is re-scored under b.  `propose`
-    makes that one scan against the kept counts and writes nothing, so a
-    rejected move costs no update; `apply` writes what it found.
+    spec's `_rule_table`.  e's own tally stays as it is: the rules at a
+    position depend only on the layer of its label, and a move keeps e in
+    its layer.  `propose` makes that one scan against the kept counts and
+    writes nothing, so a rejected move costs no update; `apply` writes
+    what it found.
     `violation_count` is the running total plus one per empty part.
 
     Each count row has a floor, a lower bound on its counts over its
@@ -430,15 +432,18 @@ class _ClimbEngine:
     judges it.  `apply` does not write such a row either while its floor
     is above `_STALE_FROM`, but marks it stale: its kept and its true
     counts then both stay above 2 on the support and are 0 off it, so
-    judging either gives the same rules, e's own re-score included.  When
-    a stale row's floor falls to 2, the engine recounts every row and
-    floor from its labels by the set-up's own route (`_counts`), and
-    counts the recount in `refreshes`.
+    judging either gives the same rules.  When a stale row's floor falls
+    to 2, the engine recounts every row and floor from its labels by the
+    set-up's own route (`_counts`), and counts the recount in
+    `refreshes`.
 
     Each movable layer's reach, the XOR convolution of the tallies with the
     layer indicators that `move_pool` reads, is kept by one rule: every
     tally change is added at its layer's translates (`_add_reach`), and
-    the starting tally counts as a change from zero.
+    the starting tally counts as a change from zero.  Beside the tally
+    the engine keeps `broken`, its any over the three rows: built with
+    the first tally, and re-read by `apply` only at the positions whose
+    tally entries it changes, so no move rescans the whole tally.
     """
 
     def __init__(self, state: SplitState, spec: AlgebraSpec):
@@ -447,6 +452,8 @@ class _ClimbEngine:
         self.spec = spec
         self.table = table = _rule_table(spec)
         self.row = table.row.tolist()  # plain ints for the per-proposal lookups
+        # per code pair (a, b) a move runs between, what `propose` scans
+        self.plans: dict[tuple[int, int], list[tuple[int, int, int, int, np.ndarray, int]]] = {}
         self.labels = state.labels.copy()
         self.members = [np.flatnonzero(self.labels == code) for code in range(spec.num_diversity)]
         self.counts = _counts(state, spec, naive=False)
@@ -464,6 +471,7 @@ class _ClimbEngine:
             self.tally[:, at] = table.weights @ _broken(table, self.counts, self.labels, at)
         self.tally[:, self.labels < 0] = 0
         self.total = int(self.tally.sum())
+        self.broken = self.tally.any(axis=0)
         self.layer_elems = [np.flatnonzero(layer) for layer in self.base.layers]
         self.movable = [at for at, parts in enumerate((self.p, self.q)) if parts > 1]
         self.reach = {at: np.zeros(n, dtype=np.int64) for at in self.movable}
@@ -495,6 +503,26 @@ class _ClimbEngine:
         """The codes of e's layer."""
         return range(self.p) if self.base.layers[0][e] else range(self.p, self.p + self.q)
 
+    def _plan(self, a: int, b: int) -> list[tuple[int, int, int, int, np.ndarray, int]]:
+        """What a move from code a to code b scans, in order: per color d,
+        the row {a, d} as e leaves, then the row {b, d} as it joins, each
+        as (d, count row, step, crossing value, tally change by label where
+        a count crosses, tally row).  Built on the pair's first proposal
+        and kept: nothing in it changes with the counts."""
+        table, row, plan = self.table, self.row, []
+        groups = table.group.tolist()
+        for d in range(len(self.members)):
+            for code, sign in ((a, -1), (b, 1)):
+                u = row[code][d]
+                step = 2 * sign if d == code else sign
+                # the count reaches 0 as e leaves (it was the step's size),
+                # or leaves 0 as e joins
+                cross = -step if sign < 0 else 0
+                # `leave_zero` signed by the side; label -1 picks its zero last column
+                plan.append((d, u, step, cross, sign * table.leave_zero[u], groups[u]))
+        self.plans[a, b] = plan
+        return plan
+
     def propose(self, e: int, b: int) -> _Move:
         """Score recoloring labeled element e to another code b of its
         layer from the kept counts; nothing is written.
@@ -507,41 +535,40 @@ class _ClimbEngine:
         not read: no count of it reaches 0 as e leaves, or leaves 0 as e
         joins.  D still holds e for d = a, whose terms land on position
         0: labeled -1, it is never tallied, and `apply` sets its counts
-        right.  e's own count column does not change, since 0 is in no
-        part, so e is re-scored under b as it stands.
+        right.  e's own tally does not change: its count column does not,
+        since 0 is in no part, and the rules at e depend only on e's layer
+        (a triangle is mandatory iff one of its colors is red), which the
+        move keeps.  A crossing's tally changes are summed as plain ints,
+        and a crossing that changes no tally entry (all of its positions
+        unlabeled) is not kept.
         """
-        table, floor, row = self.table, self.floor, self.row
-        a = int(self.labels[e])
-        total = self.total - int(self.tally[:, e].sum())
+        floor, counts, labels, members = self.floor, self.counts, self.labels, self.members
+        a = int(labels[e])
+        total = self.total
         rows, crossed = [], []
-        for d, xs in enumerate(self.members):
+        z, zd = None, -1  # the positions e XOR D, for color zd
+        for d, u, step, cross, signed, g in self.plans.get((a, b)) or self._plan(a, b):
+            xs = members[d]
             if not xs.size:
                 continue
-            z = None
-            for code, sign in ((a, -1), (b, 1)):
-                u = row[code][d]
-                step = 2 * sign if d == code else sign
-                # the count reaches 0 as e leaves (it was the step's size),
-                # or leaves 0 as e joins
-                cross = -step if sign < 0 else 0
-                if floor[u] > cross:
-                    rows.append((u, d, z, None, step))
-                    continue
-                if z is None:
-                    z = xs ^ e
-                before = self.counts[u][z]
-                rows.append((u, d, z, before, step))
-                at = z[before == cross]
-                if at.size:
-                    delta = sign * table.leave_zero[u, self.labels[at]]
-                    crossed.append((table.group[u], at, delta))
-                    total += int(delta.sum())
-        own = table.weights @ ((self.counts[:, e] == 0) == table.need[b])
-        total += int(own.sum())
-        sizes = [xs.size for xs in self.members]
+            if floor[u] > cross:
+                rows.append((u, d, z if zd == d else None, None, step))
+                continue
+            if zd != d:
+                z, zd = xs ^ e, d
+            before = counts[u][z]
+            rows.append((u, d, z, before, step))
+            at = z[before == cross]
+            if at.size:
+                delta = signed[labels[at]]
+                changes = delta.tolist()
+                if any(changes):
+                    crossed.append((g, at, delta))
+                    total += sum(changes)
+        sizes = [xs.size for xs in members]
         sizes[a] -= 1
         sizes[b] += 1
-        return _Move(e, a, b, total + sizes.count(0), total, rows, crossed, own)
+        return _Move(e, a, b, total + sizes.count(0), total, rows, crossed)
 
     def apply(self, move: _Move) -> None:
         """Make a proposed move, writing what `propose` found.
@@ -550,7 +577,9 @@ class _ClimbEngine:
         written from its counts; a row it skipped is stepped in place while
         its floor is at most `_STALE_FROM` and left stale above that.  If
         a stale row's floor has reached 2, nothing is written: the labels
-        are moved and every row recounted (`_refresh`)."""
+        are moved and every row recounted (`_refresh`).  The tally, the
+        reaches and the broken-position mask change only where a crossing
+        changes a tally entry."""
         e, a, b = move.e, move.old, move.new
         floor, stale = self.floor, self.stale
         for u, _d, _z, _before, step in move.rows:
@@ -572,19 +601,16 @@ class _ClimbEngine:
             for u, fix in ((row[a][a], 1), (row[a][b], -1), (row[b][b], 1)):
                 if u not in stale:
                     self.counts[u, 0] += fix
+        tally, broken = self.tally, self.broken
         for g, at, delta in move.crossed:
-            self.tally[g, at] += delta
-            if delta.any():  # most crossings change no tally
-                self._add_reach(g, at, delta)
-        for g, change in enumerate((move.own - self.tally[:, e]).tolist()):
-            if change:
-                self._add_reach(g, np.array([e]), np.array([change]))
-        self.tally[:, e] = move.own
+            tally[g, at] += delta
+            broken[at] = tally[:, at].any(axis=0)
+            self._add_reach(g, at, delta)
         self.total = move.total
         self.labels[e] = b
         xs = self.members[a]
         self.members[a] = xs[xs != e]
-        self.members[b] = np.append(self.members[b], e)
+        self.members[b] = np.concatenate((self.members[b], [e]))
         if refresh:
             self._refresh()
 
@@ -614,10 +640,12 @@ class _ClimbEngine:
         convolution of tally row A + L with layer L's indicator, summed
         over L = R and B, which the engine keeps up to date.
         """
-        broken = self.tally.any(axis=0)
-        pool = np.zeros_like(broken)
+        pool = np.zeros_like(self.broken)
         for at in self.movable:
-            pool |= self.base.layers[at] & (broken | (self.reach[at] != 0))
+            reached = self.reach[at] != 0
+            reached |= self.broken
+            reached &= self.base.layers[at]
+            pool |= reached
         return pool
 
     def to_state(self, seed: int) -> SplitState:

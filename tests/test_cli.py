@@ -635,6 +635,9 @@ def test_log_file_records_run(capsys, tmp_path):
         ["pipeline", "--from", "10", "--to", "10", "--threads", "2"],
         ["bounds", "--n", "2", "--extended"],
         ["solve", "--cnf", "x.cnf", "--memory-cap-mb", "1"],
+        # no prefix of a flag stands for it
+        ["encode", "--points", "10", "--p", "2"],
+        ["encode", "--p", "2", "--points", "10"],
     ],
 )
 def test_flags_only_where_read(capsys, argv):

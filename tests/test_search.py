@@ -187,6 +187,16 @@ def test_report_matches_reference(shape, k, seed, emptied, moved):
         assert {(z, *table.unordered[u]) for u, z in zip(rows.tolist(), zs.tolist())} == expected
 
 
+def test_rules_depend_only_on_the_target_layer():
+    # the climb keeps a moved element's own tally as it is, since a move
+    # never takes an element out of its layer
+    for p in range(1, 5):
+        for q in range(1, 6):
+            need = _rule_table(AlgebraSpec(p, q)).need
+            for first, last in ((0, p), (p, p + q)):
+                assert (need[first:last] == need[first]).all(), (p, q)
+
+
 @pytest.mark.parametrize(
     "k, p, q",
     [(2, p, q) for p in range(1, 7) for q in range(1, 8 - p)] + [(3, 1, 2), (3, 2, 3), (3, 3, 4)],
@@ -915,3 +925,29 @@ def test_move_pool_stays_exact_over_a_long_climb(part3, monkeypatch, shape, budg
     ts = trial_seed(5, 0)
     _final, trace = hill_climb(random_split(part3, p, q, ts), spec, budget, ts, anneal=True)
     assert len(trace) >= 300 and len(pools) == len(trace) + 1
+
+
+@pytest.mark.parametrize("shape", [(1, 2), (2, 2), (1, 3)])
+def test_broken_mask_stays_exact_after_every_move(part3, monkeypatch, shape):
+    # annealed climbs, whose tallies rise and fall: after every accepted move
+    # the kept mask is the tally's any over its rows, and the pool read from
+    # it and the reaches is a fresh engine's
+    p, q = shape
+    spec = AlgebraSpec(p, q)
+    broken, totals = [], []
+
+    class Checked(_ClimbEngine):
+        def apply(self, move):
+            super().apply(move)
+            assert np.array_equal(self.broken, self.tally.any(axis=0))
+            fresh = _ClimbEngine(self.to_state(0), spec)
+            assert np.array_equal(self.move_pool(), fresh.move_pool())
+            broken.append(int(self.broken.sum()))
+            totals.append(self.total)
+
+    monkeypatch.setattr(search, "_ClimbEngine", Checked)
+    ts = trial_seed(5, 1)
+    hill_climb(random_split(part3, p, q, ts), spec, 1500, ts, anneal=True)
+    for kept in (broken, totals):
+        steps = np.diff(kept)
+        assert (steps > 0).any() and (steps < 0).any()
